@@ -74,17 +74,19 @@ double Zeta(uint64_t n, double theta) {
 
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
   assert(n > 0);
+  assert(theta != 1.0);  // the quick method divides by 1 - theta
   zetan_ = Zeta(n, theta);
   zeta2_ = Zeta(2, theta);
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) / (1.0 - zeta2_ / zetan_);
+  rank1_cut_ = 1.0 + std::pow(0.5, theta);
 }
 
 uint64_t ZipfGenerator::Next(Rng& rng) {
   double u = rng.NextDouble();
   double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_cut_) return 1;
   uint64_t v = static_cast<uint64_t>(static_cast<double>(n_) *
                                      std::pow(eta_ * u - eta_ + 1.0, alpha_));
   if (v >= n_) v = n_ - 1;
@@ -92,14 +94,9 @@ uint64_t ZipfGenerator::Next(Rng& rng) {
 }
 
 uint64_t ScrambleIndex(uint64_t index, uint64_t n) {
-  // FNV-1a style scramble, then reduce. Collisions are acceptable: this is a
-  // hotness-scattering function, not a permutation-sensitive index.
-  uint64_t h = index ^ 0xcbf29ce484222325ULL;
-  h *= 0x100000001b3ULL;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h % n;
+  // Collisions are acceptable: this is a hotness-scattering function, not a
+  // permutation-sensitive index.
+  return ScrambleHash(index) % n;
 }
 
 }  // namespace magesim

@@ -37,8 +37,9 @@ class Rng {
   uint64_t s_[4];
 };
 
-// Zipf-distributed integers over [0, n) with skew `theta` (0 < theta). Uses
-// the Gray et al. quick method: O(n) precompute of zeta(n), O(1) per sample.
+// Zipf-distributed integers over [0, n) with skew `theta` (0 < theta, and
+// theta != 1 because the method divides by 1 - theta). Uses the Gray et al.
+// quick method: O(n) precompute of zeta(n), O(1) per sample.
 class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double theta);
@@ -55,10 +56,24 @@ class ZipfGenerator {
   double zetan_;
   double eta_;
   double zeta2_;
+  double rank1_cut_;  // 1 + 0.5^theta: u * zeta(n) below this is rank 0 or 1
 };
+
+// The 64-bit hash behind ScrambleIndex: FNV-1a style scramble plus a
+// murmur-style finalizer. Inline so hot generators can reduce it themselves.
+inline uint64_t ScrambleHash(uint64_t index) {
+  uint64_t h = index ^ 0xcbf29ce484222325ULL;
+  h *= 0x100000001b3ULL;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
 
 // A scrambling permutation so that Zipf rank-0 hotness is scattered across an
 // address range instead of clustering at its start (matches YCSB key hashing).
+// Equals ScrambleHash(index) % n; when n is a power of two that is
+// ScrambleHash(index) & (n - 1).
 uint64_t ScrambleIndex(uint64_t index, uint64_t n);
 
 }  // namespace magesim

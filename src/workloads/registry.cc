@@ -1,6 +1,7 @@
 #include "src/workloads/registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <set>
@@ -36,6 +37,20 @@ class OptReader {
 
   int Int(const std::string& key, int def) { return static_cast<int>(U64(key, static_cast<uint64_t>(def))); }
 
+  // An integer that must lie in [lo, hi]. Parsed signed, so "-1" is out of
+  // range rather than wrapped through uint64_t.
+  int IntIn(const std::string& key, int def, int lo, int hi) {
+    const std::string* v = Find(key);
+    if (v == nullptr) return def;
+    char* end = nullptr;
+    long long out = std::strtoll(v->c_str(), &end, 10);
+    if (end == v->c_str() || *end != '\0' || out < lo || out > hi) {
+      Fail(key, *v);
+      return def;
+    }
+    return static_cast<int>(out);
+  }
+
   double Dbl(const std::string& key, double def) {
     const std::string* v = Find(key);
     if (v == nullptr) return def;
@@ -45,10 +60,25 @@ class OptReader {
     return out;
   }
 
+  // A Zipf skew. The quick method (ZipfGenerator) divides by 1 - theta, so
+  // theta = 1 is rejected rather than silently piling samples on one rank.
+  double Theta(double def) {
+    double theta = Dbl("theta", def);
+    if (!std::isfinite(theta) || theta == 1.0) {
+      Fail("theta", *Find("theta"));
+      return def;
+    }
+    return theta;
+  }
+
   std::string Str(const std::string& key, const std::string& def) {
     const std::string* v = Find(key);
     return v == nullptr ? def : *v;
   }
+
+  // False once any value failed to parse; factories check it before building
+  // anything a bad value could make expensive or undefined.
+  bool ok() const { return error_->empty(); }
 
   // True when every provided key was consumed; otherwise reports the typo.
   bool Finish(const std::string& wname) {
@@ -104,7 +134,7 @@ const std::vector<Entry>& Registry() {
          return std::make_unique<GupsWorkload>(GupsWorkload::Options{
              .total_pages = o.U64("pages", 48 * 1024),
              .threads = p.threads,
-             .zipf_theta = o.Dbl("theta", 0.99),
+             .zipf_theta = o.Theta(0.99),
              .phase_change_at = static_cast<SimTime>(o.U64("phase_ms", 300)) * kMillisecond,
              .run_for = static_cast<SimTime>(o.U64("run_ms", 600)) * kMillisecond});
        }},
@@ -131,16 +161,20 @@ const std::vector<Entry>& Registry() {
          TraceGenOptions gopt{.wss_pages = o.U64("wss", 32 * 1024),
                               .threads = p.threads,
                               .accesses_per_thread = o.U64("accesses", 20000)};
-         return std::make_unique<TraceReplayWorkload>(
-             GenerateMixedTrace(gopt, o.Dbl("theta", 0.95), o.Dbl("scan", 0.2)));
+         double theta = o.Theta(0.95);
+         double scan = o.Dbl("scan", 0.2);
+         if (!o.ok()) return nullptr;
+         return std::make_unique<TraceReplayWorkload>(GenerateMixedTrace(gopt, theta, scan));
        }},
       {{"pagerank", "GAP-style PageRank over a Kronecker graph",
         "scale=16 iterations=3"},
        [](const WorkloadParams& p, OptReader& o) -> std::unique_ptr<Workload> {
+         // Neighbor ids are uint32_t, so at most 2^32 vertices.
+         int scale = o.IntIn("scale", 16, 0, 32);
+         int iterations = o.Int("iterations", 3);
+         if (!o.ok()) return nullptr;
          return std::make_unique<PageRankWorkload>(PageRankWorkload::Options{
-             .scale = o.Int("scale", 16),
-             .iterations = o.Int("iterations", 3),
-             .threads = p.threads});
+             .scale = scale, .iterations = iterations, .threads = p.threads});
        }},
       {{"seqscan", "sequential multi-pass scan over a shared region",
         "pages=32768 passes=2 compute_ns=5570 write=0"},
@@ -174,8 +208,9 @@ const std::vector<Entry>& Registry() {
          TraceGenOptions gopt{.wss_pages = o.U64("wss", 32 * 1024),
                               .threads = p.threads,
                               .accesses_per_thread = o.U64("accesses", 20000)};
-         return std::make_unique<TraceReplayWorkload>(
-             GenerateZipfTrace(gopt, o.Dbl("theta", 0.95)));
+         double theta = o.Theta(0.95);
+         if (!o.ok()) return nullptr;
+         return std::make_unique<TraceReplayWorkload>(GenerateZipfTrace(gopt, theta));
        }},
   };
   return *entries;

@@ -101,6 +101,26 @@ TEST(ZipfTest, LowThetaApproachesUniform) {
   EXPECT_LT(rank0, kSamples * 4 / 100);
 }
 
+// FNV-1a over the first 100k samples of a Zipf stream seeded with 1.
+uint64_t ZipfStreamHash(uint64_t n, double theta) {
+  Rng r(1);
+  ZipfGenerator zipf(n, theta);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 100000; ++i) {
+    h ^= zipf.Next(r);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ZipfTest, SampleStreamIsPinned) {
+  // Workload inputs (gups, zipf-trace, memcached, xsbench) are drawn from
+  // this stream, so a speedup of Next() must leave every sample unchanged.
+  // (39321, 0.99) is one gups_fleet region; (100, 0.01) is near-uniform.
+  EXPECT_EQ(ZipfStreamHash(39321, 0.99), 0xe250b510596a5436ULL);
+  EXPECT_EQ(ZipfStreamHash(100, 0.01), 0x1579e5de348ab78fULL);
+}
+
 TEST(ScrambleTest, StaysInRangeAndIsDeterministic) {
   for (uint64_t i = 0; i < 1000; ++i) {
     uint64_t a = ScrambleIndex(i, 777);

@@ -65,6 +65,42 @@ TEST(WorkloadRegistryTest, RejectsUnknownNamesKeysAndValues) {
   EXPECT_NE(err.find("many"), std::string::npos) << err;
 }
 
+TEST(WorkloadRegistryTest, RejectsZipfThetaOfOne) {
+  // The Zipf quick method divides by 1 - theta; at theta = 1 it piles most
+  // samples on the last rank instead of failing.
+  for (const char* name : {"gups", "zipf-trace", "mixed-trace"}) {
+    for (const char* theta : {"1", "1.0", "nan", "inf"}) {
+      WorkloadParams params;
+      params.opts = {{"theta", theta}};
+      std::string err;
+      EXPECT_EQ(MakeWorkload(name, params, &err), nullptr) << name << " theta=" << theta;
+      EXPECT_NE(err.find("theta"), std::string::npos) << err;
+    }
+  }
+  WorkloadParams params;
+  params.opts = {{"theta", "0.9"}, {"wss", "64"}, {"accesses", "10"}};
+  std::string err;
+  EXPECT_NE(MakeWorkload("zipf-trace", params, &err), nullptr) << err;
+}
+
+TEST(WorkloadRegistryTest, RejectsPageRankScaleOutsideZeroTo32) {
+  // Neighbor ids are uint32_t; a negative scale used to wrap through the
+  // unsigned parser into a shift by -1.
+  for (const char* scale : {"-1", "33", "4294967296", "x"}) {
+    WorkloadParams params;
+    params.opts = {{"scale", scale}};
+    std::string err;
+    EXPECT_EQ(MakeWorkload("pagerank", params, &err), nullptr) << "scale=" << scale;
+    EXPECT_NE(err.find("scale"), std::string::npos) << err;
+  }
+  for (const char* scale : {"0", "4"}) {
+    WorkloadParams params;
+    params.opts = {{"scale", scale}};
+    std::string err;
+    EXPECT_NE(MakeWorkload("pagerank", params, &err), nullptr) << "scale=" << scale << ": " << err;
+  }
+}
+
 TEST(WorkloadRegistryTest, TraceRequiresAFile) {
   WorkloadParams params;
   std::string err;

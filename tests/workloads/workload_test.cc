@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "src/core/farmem.h"
 #include "src/workloads/gups.h"
@@ -43,6 +45,112 @@ TEST(KroneckerTest, DeterministicPerSeedSkewedDegrees) {
     max_deg = std::max(max_deg, a.OutDegree(v));
   }
   EXPECT_GT(max_deg, 40u);
+}
+
+// The branching R-MAT descent GenerateKronecker used before its branch-free
+// rewrite, kept verbatim as the oracle: the generated graph must stay
+// identical byte for byte, or every pinned PageRank result moves.
+CsrGraph ReferenceKronecker(int scale, int edge_factor, uint64_t seed) {
+  const uint64_t n = 1ULL << scale;
+  const uint64_t m = n * static_cast<uint64_t>(edge_factor);
+  Rng rng(seed);
+  constexpr double kA = 0.57, kB = 0.19, kC = 0.19;
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  edges.reserve(m);
+  for (uint64_t e = 0; e < m; ++e) {
+    uint64_t src = 0, dst = 0;
+    for (int bit = scale - 1; bit >= 0; --bit) {
+      double r = rng.NextDouble();
+      if (r < kA) {
+        // top-left: nothing set
+      } else if (r < kA + kB) {
+        dst |= 1ULL << bit;
+      } else if (r < kA + kB + kC) {
+        src |= 1ULL << bit;
+      } else {
+        src |= 1ULL << bit;
+        dst |= 1ULL << bit;
+      }
+    }
+    src = ScrambleIndex(src, n);
+    dst = ScrambleIndex(dst, n);
+    edges.emplace_back(static_cast<uint32_t>(src), static_cast<uint32_t>(dst));
+  }
+  CsrGraph g;
+  g.num_vertices = n;
+  g.num_edges = edges.size();
+  g.offsets.assign(n + 1, 0);
+  for (const auto& [s, d] : edges) {
+    ++g.offsets[s + 1];
+  }
+  for (uint64_t v = 0; v < n; ++v) {
+    g.offsets[v + 1] += g.offsets[v];
+  }
+  g.neighbors.resize(g.num_edges);
+  std::vector<uint64_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
+  for (const auto& [s, d] : edges) {
+    g.neighbors[cursor[s]++] = d;
+  }
+  return g;
+}
+
+TEST(KroneckerTest, MatchesReferenceGenerator) {
+  struct Case {
+    int scale;
+    int edge_factor;
+    uint64_t seed;
+  };
+  std::vector<Case> cases;
+  for (int scale : {0, 1, 2, 10}) {
+    for (int edge_factor : {1, 3, 16}) {
+      for (uint64_t seed : {1ULL, 7ULL, 0xdeadbeefULL}) {
+        cases.push_back({scale, edge_factor, seed});
+      }
+    }
+  }
+  cases.push_back({16, 4, 1});
+  cases.push_back({16, 16, 42});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "scale=" << c.scale << " edge_factor="
+                                      << c.edge_factor << " seed=" << c.seed);
+    CsrGraph got = GenerateKronecker(c.scale, c.edge_factor, c.seed);
+    CsrGraph want = ReferenceKronecker(c.scale, c.edge_factor, c.seed);
+    EXPECT_EQ(got.num_vertices, want.num_vertices);
+    EXPECT_EQ(got.num_edges, want.num_edges);
+    EXPECT_TRUE(got.offsets == want.offsets);
+    EXPECT_TRUE(got.neighbors == want.neighbors);
+  }
+}
+
+TEST(KroneckerTest, IntegerCutsMatchDoubleCompareAtBoundaries) {
+  // Each cut T must sit exactly where `k * 2^-53 < p` flips: k = T - 1 is
+  // below p, k = T is not, and the quadrant bits agree with the branching
+  // classification on both sides.
+  constexpr double kAB = kRmatA + kRmatB;
+  constexpr double kABC = kRmatA + kRmatB + kRmatC;
+  auto branching_bits = [&](uint64_t k) {
+    const double r = static_cast<double>(k) * 0x1.0p-53;
+    if (r < kRmatA) return std::pair<uint64_t, uint64_t>{0, 0};
+    if (r < kAB) return std::pair<uint64_t, uint64_t>{0, 1};
+    if (r < kABC) return std::pair<uint64_t, uint64_t>{1, 0};
+    return std::pair<uint64_t, uint64_t>{1, 1};
+  };
+  const std::pair<uint64_t, double> cuts[] = {
+      {kRmatCutA, kRmatA}, {kRmatCutAB, kAB}, {kRmatCutABC, kABC}};
+  for (const auto& [cut, p] : cuts) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p << " cut=" << cut);
+    EXPECT_TRUE(static_cast<double>(cut - 1) * 0x1.0p-53 < p);
+    EXPECT_FALSE(static_cast<double>(cut) * 0x1.0p-53 < p);
+    for (uint64_t k : {cut - 1, cut}) {
+      EXPECT_EQ(RmatSrcBit(k), branching_bits(k).first) << "k=" << k;
+      EXPECT_EQ(RmatDstBit(k), branching_bits(k).second) << "k=" << k;
+    }
+  }
+  // The ends of the 53-bit draw range land in the first and last quadrants.
+  EXPECT_EQ(RmatSrcBit(0), 0u);
+  EXPECT_EQ(RmatDstBit(0), 0u);
+  EXPECT_EQ(RmatSrcBit((1ULL << 53) - 1), 1u);
+  EXPECT_EQ(RmatDstBit((1ULL << 53) - 1), 1u);
 }
 
 RunResult RunWorkload(Workload& wl, const KernelConfig& cfg, double ratio,
