@@ -414,7 +414,7 @@ RunResult FarMemoryMachine::Run() {
   r.fault_mops =
       r.measured_seconds > 0 ? static_cast<double>(ks.faults) / r.measured_seconds / 1e6 : 0;
   r.fault_latency = ks.fault_latency;
-  r.fault_breakdown = ks.fault_breakdown;
+  r.fault_stages = ks.fault_stages;
   r.sync_evict_latency = ks.sync_evict_latency;
   uint64_t nic_bytes_read = nic_->bytes_read();
   uint64_t nic_bytes_written = nic_->bytes_written();
@@ -628,13 +628,6 @@ void FarMemoryMachine::PublishMetrics(const RunResult& r) {
   m.Gauge("nic.read_gbps").Set(r.nic_read_gbps);
   m.Gauge("nic.write_gbps").Set(r.nic_write_gbps);
 
-  // Fault-phase breakdown (Figs. 6/16) as counters, one pair per category,
-  // so bench harnesses read their attribution from the registry.
-  for (const auto& [cat, e] : ks.fault_breakdown.entries()) {
-    m.Counter("fault_breakdown." + cat + ".total_ns").Set(static_cast<uint64_t>(e.total_ns));
-    m.Counter("fault_breakdown." + cat + ".count").Set(e.count);
-  }
-
   if (spans_ != nullptr) {
     m.Counter("spans.spans_total").Set(spans_->spans_total());
     m.Counter("spans.links_total").Set(spans_->links_total());
@@ -764,10 +757,19 @@ std::string FarMemoryMachine::BuildRunReportJson(const RunResult& r) const {
     spans_->AppendTailJson(w, tenant_names);
   }
 
-  w.Key("breakdowns");
+  // Exact per-stage totals of faulting threads (schema_version 3), in
+  // SpanKind order; stages that never ran are omitted.
+  w.Key("fault_stages");
   w.BeginObject();
-  w.Key("fault_breakdown");
-  AppendBreakdownJson(w, kernel_->stats().fault_breakdown);
+  for (int k = 0; k < kNumSpanKinds; ++k) {
+    const StageTotal& e = r.fault_stages[static_cast<size_t>(k)];
+    if (e.count == 0) continue;
+    w.Key(SpanKindName(static_cast<SpanKind>(k)));
+    w.BeginObject();
+    w.KV("total_ns", e.total_ns);
+    w.KV("count", e.count);
+    w.EndObject();
+  }
   w.EndObject();
 
   w.Key("profiler");

@@ -75,7 +75,9 @@ struct RunResult {
   uint64_t prefetched_pages = 0;
   double fault_mops = 0;  // major faults per second, in millions
   Histogram fault_latency;
-  Breakdown fault_breakdown;
+  // Exact per-stage totals of faulting threads, indexed by SpanKind
+  // (src/paging/stage.h); Figs. 6/16 sum them into their columns.
+  StageTotals fault_stages{};
   Histogram sync_evict_latency;
 
   // Fabric.
@@ -287,7 +289,7 @@ class FarMemoryMachine {
  private:
   Task<> RunThread(int tid);
   Task<> Controller();
-  // Copies end-of-run statistics (kernel, NIC, TLB, checker, breakdown) into
+  // Copies end-of-run statistics (kernel, NIC, TLB, checker) into
   // the registry, then renders the JSON run-report.
   void PublishMetrics(const RunResult& r);
   std::string BuildRunReportJson(const RunResult& r) const;

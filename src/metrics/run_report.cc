@@ -155,18 +155,6 @@ void AppendRegistryJson(JsonWriter& w, const MetricsRegistry& reg) {
   w.EndObject();
 }
 
-void AppendBreakdownJson(JsonWriter& w, const Breakdown& b) {
-  w.BeginObject();
-  for (const auto& [cat, e] : b.entries()) {
-    w.Key(cat);
-    w.BeginObject();
-    w.KV("total_ns", e.total_ns);
-    w.KV("count", e.count);
-    w.EndObject();
-  }
-  w.EndObject();
-}
-
 void AppendProfilerJson(JsonWriter& w, const SimProfiler& prof, SimTime end_time_ns) {
   // Tracked cores: those with any attributed time. Idle is derived so the
   // per-phase totals sum to tracked_cores * end_time exactly.

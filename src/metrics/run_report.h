@@ -24,7 +24,9 @@ namespace magesim {
 
 // 2: added the `tail` section (span critical-path attribution, present when
 // span tracing is enabled) and "spans" to the config section.
-inline constexpr int kRunReportSchemaVersion = 2;
+// 3: the `fault_stages` section (exact per-SpanKind totals) replaced
+// `breakdowns`, and the fault_breakdown.* counters are gone.
+inline constexpr int kRunReportSchemaVersion = 3;
 
 // Streaming JSON writer with automatic comma placement. Emits compact,
 // deterministic output (sorted inputs are the caller's job).
@@ -70,9 +72,6 @@ void AppendHistogramJson(JsonWriter& w, const Histogram& h);
 // Registry contents as three sibling keys on the current object:
 // "counters": {name: value}, "gauges": {...}, "histograms": {name: summary}.
 void AppendRegistryJson(JsonWriter& w, const MetricsRegistry& reg);
-
-// Breakdown as {category: {total_ns, count}} on the current value position.
-void AppendBreakdownJson(JsonWriter& w, const Breakdown& b);
 
 // Profiler section as the current value position. `end_time_ns` is the run's
 // final simulated timestamp: per-core idle time is derived as

@@ -1,9 +1,10 @@
-// Kernel fault-in path (FP of Fig. 2), with per-phase latency attribution.
+// Kernel fault-in path (FP of Fig. 2); each stage is one StageScope
+// (src/paging/stage.h) feeding the profiler, spans and the fault totals.
 #include <cassert>
 
-#include "src/metrics/profiler.h"
 #include "src/paging/kernel.h"
 #include "src/paging/prefetcher.h"
+#include "src/paging/stage.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/sim/engine.h"
 #include "src/sim/hot_path.h"
@@ -13,22 +14,13 @@
 
 namespace magesim {
 
-namespace {
-// Interned breakdown categories, resolved once — Breakdown::Add on the fault
-// hot path is then a plain vector index.
-const int kCatEntry = Breakdown::InternCategory("entry");
-const int kCatOther = Breakdown::InternCategory("other");
-const int kCatAlloc = Breakdown::InternCategory("alloc");
-const int kCatRdma = Breakdown::InternCategory("rdma");
-const int kCatAccounting = Breakdown::InternCategory("accounting");
-}  // namespace
-
 MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
   Engine& eng = Engine::current();
   const MachineParams& hw = topo_.params();
   SimTime t0 = eng.now();
   assert(vpn < wss_pages_);
   ++faults_per_core_[static_cast<size_t>(core)];
+  StageTotals* totals = &stats_.fault_stages;
 
   if (config_.variant == Variant::kIdeal) {
     // Zero software overhead: only the data movement cost (§3.1).
@@ -46,7 +38,7 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     assert(f != nullptr);
     TraceEmit(TraceEventType::kFrameAlloc, core, vpn, f->pfn);
     {
-      PhaseScope ps(core, SimPhase::kRdmaWait);
+      StageScope stage(SpanKind::kRdmaRead, core, vpn, {}, totals);
       if (resilience_ != nullptr) {
         RemoteOpStatus st = co_await resilience_->ReadPage(core, vpn, /*allow_poison=*/true,
                                                            {}, FleetSlotOf(vpn));
@@ -72,18 +64,16 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     co_return;
   }
 
-  // --- Trap entry and dispatch ---
-  {
-    PhaseScope ps(core, SimPhase::kFaultMap);
-    co_await Delay{config_.fault_entry_ns + hw.page_table_walk_ns};
+  // --- Trap entry and dispatch. The stage closes once the fault knows which
+  // span (if any) its leaf belongs to; no simulated time passes meanwhile. ---
+  StageScope entry(SpanKind::kEntry, core, vpn, {}, totals);
+  co_await Delay{config_.fault_entry_ns + hw.page_table_walk_ns};
 
-    // --- VMA resolution (variant-dependent locking) ---
-    const Vma* v = nullptr;
-    if (!vma_->TryFind(vpn, &v)) v = co_await vma_->Find(vpn);
-    assert(v != nullptr);
-    (void)v;  // only consulted by the assert in NDEBUG builds
-  }
-  stats_.fault_breakdown.Add(kCatEntry, eng.now() - t0);
+  // --- VMA resolution (variant-dependent locking) ---
+  const Vma* v = nullptr;
+  if (!vma_->TryFind(vpn, &v)) v = co_await vma_->Find(vpn);
+  assert(v != nullptr);
+  (void)v;  // only consulted by the assert in NDEBUG builds
 
   Pte& pte = pt_->At(vpn);
   if (pte.present) {
@@ -102,22 +92,21 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     TraceEmit(TraceEventType::kFaultDedup, core, vpn);
     SpanHandle droot{};
     SpanCausalPoint inflight{};
-    SimTime w0 = eng.now();
     if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
       int tenant = tenancy_ != nullptr ? tenancy_->TenantOf(vpn) : -1;
       droot = st->BeginDetached(SpanKind::kFault, core, vpn, tenant, t0);
-      if (st->Sampled(droot)) {
-        st->LeafUnder(droot, SpanKind::kEntry, t0, w0, core, vpn);
-        // Capture the in-flight fault before waiting: it erases its page-span
-        // registration when it completes.
-        inflight = st->page_span(vpn);
-      }
+      entry.set_parent(droot);
+      // Capture the in-flight fault before waiting: it erases its page-span
+      // registration when it completes.
+      if (st->Sampled(droot)) inflight = st->page_span(vpn);
     }
-    co_await pt_->WaitForFault(vpn);
-    if (droot) {
-      SpanLeafUnder(droot, SpanKind::kDedupWait, w0, eng.now(), core, vpn, inflight);
-      SpanEndDetached(droot, /*arg=*/1);  // arg 1 marks a dedup-coalesced fault
+    entry.End();
+    {
+      StageScope stage(SpanKind::kDedupWait, core, vpn, droot, totals);
+      stage.set_link(inflight);
+      co_await pt_->WaitForFault(vpn);
     }
+    SpanEndDetached(droot, /*arg=*/1);  // arg 1 marks a dedup-coalesced fault
     stats_.fault_latency.Record(eng.now() - t0);
     co_return;
   }
@@ -130,61 +119,51 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
   if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
     int tenant = tenancy_ != nullptr ? tenancy_->TenantOf(vpn) : -1;
     root = st->BeginDetached(SpanKind::kFault, core, vpn, tenant, t0);
-    if (st->Sampled(root)) {
-      st->LeafUnder(root, SpanKind::kEntry, t0, eng.now(), core, vpn);
-      st->NotePageSpan(vpn, root);  // dedup'd followers link to this fault
-    }
+    entry.set_parent(root);
+    if (st->Sampled(root)) st->NotePageSpan(vpn, root);  // dedup'd followers link here
   }
+  entry.End();
 
   // --- Tenancy admission: QoS backpressure + hard-limit gate ---
   if (tenancy_ != nullptr) {
-    PhaseScope ps(core, SimPhase::kFreeWait);
     co_await TenantAdmission(core, vpn, root);
   }
 
   // --- Serialized mm bookkeeping (page-table lock, rmap, cgroup: Linux) ---
   if (config_.mm_locks_cs_ns > 0) {
-    SimTime m0 = eng.now();
-    PhaseScope ps(core, SimPhase::kFaultMap);
+    StageScope stage(SpanKind::kMmLocks, core, vpn, root, totals);
     auto g = co_await mm_locks_.Scoped();
     co_await Delay{config_.mm_locks_cs_ns};
-    stats_.fault_breakdown.Add(kCatOther, eng.now() - m0);
-    SpanLeafUnder(root, SpanKind::kMmLocks, m0, eng.now(), core, vpn);
   }
 
   // --- FP1: local page allocation (may wait for / trigger eviction) ---
-  SimTime a0 = eng.now();
   PageFrame* frame = co_await AllocWithPressure(core, vpn, root);
   assert(frame != nullptr);
   TraceEmit(TraceEventType::kFrameAlloc, core, vpn, frame->pfn);
-  stats_.fault_breakdown.Add(kCatAlloc, eng.now() - a0);
 
-  // --- FP2: RDMA read of the page ---
-  SimTime r0 = eng.now();
+  // --- FP2: RDMA read of the page. The resilience manager emits its own
+  // rdma/retry/backoff/breaker leaves under the fault span. ---
   {
-    PhaseScope ps(core, SimPhase::kRdmaWait);
+    StageScope stage(SpanKind::kRdmaRead, core, vpn,
+                     resilience_ != nullptr ? SpanHandle{} : root, totals);
     if (config_.rdma_stack_cs_ns > 0) {
       auto g = co_await rdma_stack_lock_.Scoped();
       co_await Delay{config_.rdma_stack_cs_ns};
     }
+    stage.StartLeafNow();
     if (resilience_ != nullptr) {
-      // The resilience manager emits its own rdma/retry/backoff/breaker
-      // leaves under the fault span.
       RemoteOpStatus st = co_await resilience_->ReadPage(
           core, vpn, /*allow_poison=*/true, root, FleetSlotOf(vpn));
       if (st == RemoteOpStatus::kPoisoned) ++stats_.pages_poisoned;
     } else {
-      SimTime n0 = eng.now();
       co_await nic_.Read(kPageSize);
-      SpanLeafUnder(root, SpanKind::kRdmaRead, n0, eng.now(), core, vpn);
     }
   }
-  stats_.fault_breakdown.Add(kCatRdma, eng.now() - r0);
 
-  // --- Swap bookkeeping (slot-based variants free the slot on swap-in) ---
-  SimTime o0 = eng.now();
+  // --- Swap bookkeeping (slot-based variants free the slot on swap-in),
+  // residual OS work, and the mapping install ---
   {
-    PhaseScope ps(core, SimPhase::kFaultMap);
+    StageScope stage(SpanKind::kMapInstall, core, vpn, root, totals);
     if (swap_ != nullptr && pte.swap_slot != kNoSwapSlot) {
       co_await swap_->Free(pte.swap_slot);
       pte.swap_slot = kNoSwapSlot;
@@ -193,8 +172,6 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     if (config_.fault_extra_ns > 0) {
       co_await Delay{config_.fault_extra_ns};
     }
-
-    // --- Install the mapping ---
     co_await Delay{hw.pte_update_ns};
   }
   pt_->Map(vpn, frame);
@@ -204,17 +181,12 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     pte.dirty = true;
     remote_valid_[vpn] = false;
   }
-  stats_.fault_breakdown.Add(kCatOther, eng.now() - o0);
-  SpanLeafUnder(root, SpanKind::kMapInstall, o0, eng.now(), core, vpn);
 
   // --- FP3: page accounting insert ---
-  SimTime acc0 = eng.now();
   {
-    PhaseScope ps(core, SimPhase::kAccounting);
+    StageScope stage(SpanKind::kAccounting, core, vpn, root, totals);
     co_await accounting_->Insert(core, frame);
   }
-  stats_.fault_breakdown.Add(kCatAccounting, eng.now() - acc0);
-  SpanLeafUnder(root, SpanKind::kAccounting, acc0, eng.now(), core, vpn);
 
   pt_->EndFault(vpn);
   if (SpanTracer* st = SpanTracer::Get(); st != nullptr && root) {

@@ -8,8 +8,8 @@
 #include "src/accounting/partitioned_fifo.h"
 #include "src/accounting/s3fifo.h"
 #include "src/analysis/lock_analyzer.h"
-#include "src/metrics/profiler.h"
 #include "src/paging/prefetcher.h"
+#include "src/paging/stage.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/sim/engine.h"
 #include "src/sim/hot_path.h"
@@ -22,11 +22,6 @@
 namespace magesim {
 
 namespace {
-// Interned breakdown categories for the sync-eviction attribution path.
-const int kCatAccounting = Breakdown::InternCategory("accounting");
-const int kCatTlb = Breakdown::InternCategory("tlb");
-const int kCatOther = Breakdown::InternCategory("other");
-
 // Tenancy controller cadence and the fixed batch-QoS admission backoff.
 constexpr SimTime kTenantControllerPeriodNs = 100'000;
 constexpr SimTime kTenantBackpressureNs = 2'000;
@@ -291,15 +286,14 @@ Task<> Kernel::TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op) {
     cg.NoteBackpressure();
     TraceEmit(TraceEventType::kTenantThrottle, core, vpn, kTraceNoFrame,
               static_cast<uint64_t>(t));
-    SimTime b0 = Engine::current().now();
+    StageScope stage(SpanKind::kTenantThrottle, core, vpn, op, &stats_.fault_stages);
+    stage.set_arg(static_cast<uint64_t>(t));
     bool degraded = resilience_ != nullptr && resilience_->write_degraded();
     co_await Delay{kTenantBackpressureNs};
-    if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
+    if (SpanTracer* st = SpanTracer::Get(); st != nullptr && degraded) {
       // A throttle taken because the write channel is degraded is causally
       // the open breaker's fault; link to the op that opened it.
-      st->LeafUnder(op, SpanKind::kTenantThrottle, b0, Engine::current().now(), core,
-                    vpn, degraded ? st->breaker_open(1) : SpanCausalPoint{},
-                    static_cast<uint64_t>(t));
+      stage.set_link(st->breaker_open(1));
     }
   }
 
@@ -308,23 +302,23 @@ Task<> Kernel::TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op) {
   // what reclaims pages from this tenant (it is over its soft limit too, by
   // construction: soft <= hard).
   if (cg.OverHard()) {
-    SimTime w0 = Engine::current().now();
+    StageScope stage(SpanKind::kTenantPark, core, vpn, op, &stats_.fault_stages);
+    stage.set_arg(static_cast<uint64_t>(t));
     while (cg.OverHard()) {
       tenancy_->NoteHardWaiter(t, +1);
       evictor_wake_.Pulse();
       co_await tenancy_->headroom_event(t).Wait();
       tenancy_->NoteHardWaiter(t, -1);
     }
-    SimTime waited = Engine::current().now() - w0;
-    cg.NoteHardWait(waited);
-    TraceEmit(TraceEventType::kTenantHardWait, core, vpn, kTraceNoFrame,
-              static_cast<uint64_t>(waited));
     if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
       // Read the release point after waking: the uncharge that freed the
       // headroom registered its batch span just before the event fired.
-      st->LeafUnder(op, SpanKind::kTenantPark, w0, Engine::current().now(), core, vpn,
-                    st->tenant_release(t), static_cast<uint64_t>(t));
+      stage.set_link(st->tenant_release(t));
     }
+    SimTime waited = stage.End();
+    cg.NoteHardWait(waited);
+    TraceEmit(TraceEventType::kTenantHardWait, core, vpn, kTraceNoFrame,
+              static_cast<uint64_t>(waited));
   }
 }
 
@@ -400,10 +394,8 @@ MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(CoreId core, uint64_
     }
     PageFrame* f;
     {
-      PhaseScope ps(core, SimPhase::kFaultAlloc);
-      SimTime a0 = Engine::current().now();
+      StageScope stage(SpanKind::kAlloc, core, vpn, op, &stats_.fault_stages);
       f = co_await allocator_->Alloc(core);
-      SpanLeafUnder(op, SpanKind::kAlloc, a0, Engine::current().now(), core, vpn);
     }
     if (f != nullptr) {
       MaybeWakeEvictors();
@@ -422,58 +414,54 @@ MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(CoreId core, uint64_
       continue;
     }
     ++stats_.free_page_waits;
-    SimTime w0 = Engine::current().now();
     TraceEmit(TraceEventType::kFreeWaitStart, core, vpn);
-    {
-      PhaseScope ps(core, SimPhase::kFreeWait);
-      free_pages_available_.Reset();
-      co_await free_pages_available_.Wait();
+    StageScope stage(SpanKind::kFreeWait, core, vpn, op, &stats_.fault_stages);
+    free_pages_available_.Reset();
+    co_await free_pages_available_.Wait();
+    if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
+      // Link to the eviction batch that published the headroom we woke on.
+      stage.set_link(st->headroom_publisher());
     }
-    SimTime waited = Engine::current().now() - w0;
+    stage.set_arg(static_cast<uint64_t>(stage.elapsed()));
+    SimTime waited = stage.End();
     stats_.free_wait_time_total += waited;
     TraceEmit(TraceEventType::kFreeWaitEnd, core, vpn, kTraceNoFrame,
               static_cast<uint64_t>(waited));
-    if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
-      // Link to the eviction batch that published the headroom we woke on.
-      st->LeafUnder(op, SpanKind::kFreeWait, w0, Engine::current().now(), core, vpn,
-                    st->headroom_publisher(), static_cast<uint64_t>(waited));
-    }
   }
 }
 
 MAGESIM_HOT_PATH Task<> Kernel::SyncEvict(CoreId core, SpanHandle op) {
-  SimTime t0 = Engine::current().now();
   ++stats_.sync_evictions;
   TraceEmit(TraceEventType::kSyncEvictStart, core);
+  // The batch opens its own span under `op`; this stage only adds the whole
+  // batch to the fault totals (its inner stages record themselves too).
+  StageScope stage(SpanKind::kEvictBatch, core, kTraceNoPage, {}, &stats_.fault_stages);
   co_await EvictBatchSequential(/*evictor_id=*/core % std::max(config_.num_evictors, 1), core,
                                 static_cast<size_t>(config_.sync_evict_batch),
-                                &stats_.fault_breakdown, op);
-  SimTime elapsed = Engine::current().now() - t0;
+                                &stats_.fault_stages, op);
+  SimTime elapsed = stage.End();
   stats_.sync_evict_latency.Record(elapsed);
   TraceEmit(TraceEventType::kSyncEvictEnd, core, kTraceNoPage, kTraceNoFrame,
             static_cast<uint64_t>(elapsed));
 }
 
-// magesim-lint: allow(coroutine-ref-capture): out/sync_attr point at the
-// caller's frame and every caller co_awaits this task inline (never detached).
+// magesim-lint: allow(coroutine-ref-capture): out/fault_stages point at the
+// caller's frame (or kernel-lifetime stats) and every caller co_awaits this
+// task inline (never detached).
 MAGESIM_HOT_PATH Task<size_t> Kernel::PrepareVictims(int evictor_id, CoreId core, size_t batch,
-                                    std::vector<PageFrame*>* out, Breakdown* sync_attr,
+                                    std::vector<PageFrame*>* out, StageTotals* fault_stages,
                                     SpanHandle bspan) {
-  SimTime i0 = Engine::current().now();
   size_t got;
   {
-    PhaseScope ps(core, SimPhase::kAccounting);
+    StageScope stage(SpanKind::kAccounting, core, kTraceNoPage, bspan, fault_stages);
     got = co_await accounting_->IsolateBatch(evictor_id, core, batch, out);
+    stage.set_arg(got);
   }
-  if (sync_attr != nullptr) {
-    sync_attr->Add(kCatAccounting, Engine::current().now() - i0);
-  }
-  SpanLeafUnder(bspan, SpanKind::kAccounting, i0, Engine::current().now(), core,
-                kTraceNoPage, {}, got);
   if (got == 0) co_return 0;
   const MachineParams& hw = topo_.params();
-  SimTime u0 = Engine::current().now();
-  PhaseScope ps(core, SimPhase::kEviction);
+  StageScope stage(SpanKind::kUnmapVictims, core, kTraceNoPage, bspan, fault_stages,
+                   evictor_id);
+  stage.set_arg(got);
   for (PageFrame* f : *out) {
     assert(f->vpn != kInvalidVpn);
     uint64_t vpn = f->vpn;
@@ -491,8 +479,7 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::PrepareVictims(int evictor_id, CoreId core
     }
     // Direct mapping needs no allocation: remote_addr = local_addr (§4.2.3).
   }
-  SpanLeafUnder(bspan, SpanKind::kUnmapVictims, u0, Engine::current().now(), evictor_id,
-                kTraceNoPage, {}, got);
+  stage.End();
   co_return got;
 }
 
@@ -549,10 +536,10 @@ MAGESIM_HOT_PATH std::shared_ptr<RdmaCompletion> Kernel::PostWriteback(const std
   return last;
 }
 
-// magesim-lint: allow(coroutine-ref-capture): sync_attr points at the
-// caller's frame (or kernel-lifetime stats) and callers co_await inline.
+// magesim-lint: allow(coroutine-ref-capture): fault_stages points at
+// kernel-lifetime stats and callers co_await inline.
 MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreId core, size_t batch,
-                                          Breakdown* sync_attr, SpanHandle parent) {
+                                          StageTotals* fault_stages, SpanHandle parent) {
   std::vector<PageFrame*> victims;
   // magesim-lint: allow(hotpath-alloc): batch-local scratch, one exact-sized
   // reserve per batch (IsolateBatch fills it in place, never grows it).
@@ -564,7 +551,7 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreI
   if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
     bspan = st->BeginChild(parent, SpanKind::kEvictBatch, evictor_id, kTraceNoPage);
   }
-  size_t got = co_await PrepareVictims(evictor_id, core, batch, &victims, sync_attr, bspan);
+  size_t got = co_await PrepareVictims(evictor_id, core, batch, &victims, fault_stages, bspan);
   if (got == 0) {
     SpanEndDetached(bspan, 0);
     co_return 0;
@@ -573,28 +560,24 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreI
 
   // EP2: invalidate victim translations everywhere — or, in lazy-TLB mode,
   // wait for the next reconciliation tick instead of sending IPIs.
-  SimTime s0 = Engine::current().now();
   {
-    PhaseScope ps(core, SimPhase::kTlbWait);
+    StageScope stage(config_.lazy_tlb ? SpanKind::kLazyTlbWait : SpanKind::kShootdownWait,
+                     core, kTraceNoPage, bspan, fault_stages, evictor_id);
+    stage.set_arg(got);
     if (config_.lazy_tlb) {
       co_await lazy_epoch_.Wait();
     } else {
       co_await tlb_.Shootdown(core, static_cast<int>(got), bspan);
     }
   }
-  if (sync_attr != nullptr) {
-    sync_attr->Add(kCatTlb, Engine::current().now() - s0);
-  }
-  SpanLeafUnder(bspan, config_.lazy_tlb ? SpanKind::kLazyTlbWait : SpanKind::kShootdownWait,
-                s0, Engine::current().now(), evictor_id, kTraceNoPage, {}, got);
 
   // EP4: write back dirty pages. The resilient path awaits every completion
   // with a deadline and retries failures; pages whose writes are lost for
   // good are counted and their frames still reclaimed, so eviction always
-  // makes progress.
-  SimTime w0 = Engine::current().now();
+  // makes progress. The resilient path emits its own write leaves.
   {
-    PhaseScope ps(core, SimPhase::kRdmaWait);
+    StageScope stage(SpanKind::kRdmaWrite, core, kTraceNoPage,
+                     resilience_ != nullptr ? SpanHandle{} : bspan, fault_stages, evictor_id);
     if (resilience_ != nullptr && resilience_->fleet() != nullptr) {
       std::vector<uint64_t> slots = CollectWritebackSlots(victims);
       if (!slots.empty()) {
@@ -610,12 +593,7 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreI
       if (last != nullptr) {
         co_await last->Wait();
       }
-      SpanLeafUnder(bspan, SpanKind::kRdmaWrite, w0, Engine::current().now(), evictor_id,
-                    kTraceNoPage);
     }
-  }
-  if (sync_attr != nullptr) {
-    sync_attr->Add(kCatOther, Engine::current().now() - w0);
   }
 
   // Reclaim frames into the allocator and release waiting fault paths.
@@ -625,11 +603,9 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreI
     }
   }
   {
-    PhaseScope ps(core, SimPhase::kEviction);
-    SimTime f0 = Engine::current().now();
+    StageScope stage(SpanKind::kReclaim, core, kTraceNoPage, bspan, fault_stages, evictor_id);
+    stage.set_arg(got);
     co_await allocator_->FreeBatch(core, victims);
-    SpanLeafUnder(bspan, SpanKind::kReclaim, f0, Engine::current().now(), evictor_id,
-                  kTraceNoPage, {}, got);
   }
   stats_.evicted_pages += got;
   ++stats_.eviction_batches;

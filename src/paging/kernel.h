@@ -18,6 +18,7 @@
 #include "src/mem/swap_allocator.h"
 #include "src/mem/vma.h"
 #include "src/paging/config.h"
+#include "src/paging/stage.h"
 #include "src/sim/stats.h"
 #include "src/spans/spans.h"
 
@@ -44,7 +45,7 @@ struct KernelStats {
 
   Histogram fault_latency;       // end-to-end major-fault latency
   Histogram sync_evict_latency;
-  Breakdown fault_breakdown;     // per-phase attribution (Figs. 6/16)
+  StageTotals fault_stages{};    // exact per-stage totals of faulting threads
   SimTime free_wait_time_total = 0;
 };
 
@@ -88,11 +89,11 @@ class Kernel {
   // --- Eviction machinery (shared by evictor threads and sync eviction) ---
   // Runs one sequential eviction batch: isolate victims, unmap, allocate
   // remote space, shootdown, write dirty pages, reclaim. Returns pages freed.
-  // `parent` is the span of the operation running the batch inline (sync
-  // eviction nests its batch span under the faulting op); default = a
-  // detached batch root.
+  // Sync eviction passes the fault totals its stages add to (null for the
+  // background evictors) and `parent`, the faulting op's span its batch span
+  // nests under; default = a detached batch root.
   Task<size_t> EvictBatchSequential(int evictor_id, CoreId core, size_t batch,
-                                    Breakdown* sync_attr = nullptr,
+                                    StageTotals* fault_stages = nullptr,
                                     SpanHandle parent = {});
 
   // Evictor main loops (implemented in evictor.cc / pipelined_evictor.cc).
@@ -153,7 +154,7 @@ class Kernel {
   friend class Prefetcher;
 
   // Allocates one frame, applying the variant's pressure policy (sync
-  // eviction vs. waiting for the EP). Attributes wait time to the breakdown.
+  // eviction vs. waiting for the EP). Its stages add to the fault totals.
   // `op` is the requesting operation's span (alloc/free-wait leaves attach
   // to it; spans are hot-path handle-explicit, never context-stack lookups).
   Task<PageFrame*> AllocWithPressure(CoreId core, uint64_t vpn, SpanHandle op = {});
@@ -200,7 +201,7 @@ class Kernel {
   // Unmaps victims, assigns remote slots. Returns unmapped frames via `out`.
   // `bspan` is the owning batch's span (accounting/unmap leaves attach to it).
   Task<size_t> PrepareVictims(int evictor_id, CoreId core, size_t batch,
-                              std::vector<PageFrame*>* out, Breakdown* sync_attr = nullptr,
+                              std::vector<PageFrame*>* out, StageTotals* fault_stages = nullptr,
                               SpanHandle bspan = {});
 
   // Marks remote copies valid, counts clean reclaims, and returns how many

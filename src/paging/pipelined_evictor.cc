@@ -10,8 +10,8 @@
 #include <optional>
 
 #include "src/analysis/lock_analyzer.h"
-#include "src/metrics/profiler.h"
 #include "src/paging/kernel.h"
+#include "src/paging/stage.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/sim/engine.h"
 #include "src/sim/hot_path.h"
@@ -72,23 +72,21 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
     // complete thanks to the overlap), then kick off this batch's shootdown.
     // Lazy-TLB mode replaces both with a wait for the reconciliation tick.
     if (prev.has_value()) {
-      PhaseScope ps(core, SimPhase::kTlbWait);
-      SimTime s0 = eng.now();
-      if (config_.lazy_tlb) {
-        co_await lazy_epoch_.Wait();
-        SpanLeafUnder(prev->span, SpanKind::kLazyTlbWait, s0, eng.now(), evictor_id,
-                      kTraceNoPage);
-      } else {
-        co_await tlb_.Finish(prev->shootdown);
-        SpanLeafUnder(prev->span, SpanKind::kShootdownWait, s0, eng.now(), evictor_id,
-                      kTraceNoPage);
-        prev->shootdown = nullptr;
+      {
+        StageScope stage(config_.lazy_tlb ? SpanKind::kLazyTlbWait : SpanKind::kShootdownWait,
+                         core, kTraceNoPage, prev->span, nullptr, evictor_id);
+        if (config_.lazy_tlb) {
+          co_await lazy_epoch_.Wait();
+        } else {
+          co_await tlb_.Finish(prev->shootdown);
+        }
       }
+      prev->shootdown = nullptr;
     }
     if (!cur.victims.empty() && !config_.lazy_tlb) {
-      PhaseScope ps(core, SimPhase::kTlbWait);
       // Begin() carries the batch span into the ShootdownOp so the per-IPI
-      // delivery leaves land under this batch.
+      // delivery leaves land under this batch; the stage emits no leaf.
+      StageScope stage(SpanKind::kShootdownWait, core, kTraceNoPage, {}, nullptr, evictor_id);
       cur.shootdown =
           co_await tlb_.Begin(core, static_cast<int>(cur.victims.size()), cur.span);
     }
@@ -97,15 +95,13 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
     // then post writes for the middle batch.
     if (prevprev.has_value()) {
       if (prevprev->write_completion != nullptr) {
-        PhaseScope ps(core, SimPhase::kRdmaWait);
-        SimTime w0 = eng.now();
+        StageScope stage(SpanKind::kRdmaWrite, core, kTraceNoPage, prevprev->span, nullptr,
+                         evictor_id);
         co_await prevprev->write_completion->Wait();
-        SpanLeafUnder(prevprev->span, SpanKind::kRdmaWrite, w0, eng.now(), evictor_id,
-                      kTraceNoPage);
       } else if (prevprev->write_ticket != nullptr) {
         // The resilient writeback ticket emits its own rdma/retry/backoff
         // leaves under this batch's span from its spawned task.
-        PhaseScope ps(core, SimPhase::kRdmaWait);
+        StageScope stage(SpanKind::kRdmaWrite, core, kTraceNoPage, {}, nullptr, evictor_id);
         co_await prevprev->write_ticket->done.Wait();
       }
       if (Tracer::Get() != nullptr) {
@@ -114,11 +110,10 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
         }
       }
       {
-        PhaseScope ps(core, SimPhase::kEviction);
-        SimTime f0 = eng.now();
+        StageScope stage(SpanKind::kReclaim, core, kTraceNoPage, prevprev->span, nullptr,
+                         evictor_id);
+        stage.set_arg(prevprev->victims.size());
         co_await allocator_->FreeBatch(core, prevprev->victims);
-        SpanLeafUnder(prevprev->span, SpanKind::kReclaim, f0, eng.now(), evictor_id,
-                      kTraceNoPage, {}, prevprev->victims.size());
       }
       pending_reclaims_ -= prevprev->victims.size();
       stats_.evicted_pages += prevprev->victims.size();

@@ -1,16 +1,13 @@
-// Measurement utilities: counters, log-bucketed latency histograms with
-// percentile queries, time-attribution breakdowns, and time-series recorders.
+// Measurement utilities: log-bucketed latency histograms with percentile
+// queries, and time-series recorders.
 #ifndef MAGESIM_SIM_STATS_H_
 #define MAGESIM_SIM_STATS_H_
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/sim/prof_counters.h"
 #include "src/sim/time.h"
 
 namespace magesim {
@@ -59,55 +56,6 @@ class Histogram {
   int64_t min_ = 0;
   int64_t max_ = 0;
   std::array<std::array<uint64_t, kSubBuckets>, 64> buckets_{};
-};
-
-// Named duration accumulators for latency breakdowns (Figs. 6 and 16):
-// each fault phase adds its duration under a fixed category.
-//
-// Category names are interned process-wide into small integer ids; hot
-// callers intern once (e.g. a function-local static) and use the id overload
-// of Add, which is a plain vector index — no per-call string map lookup. The
-// string overloads remain as convenience wrappers for tests and cold paths.
-class Breakdown {
- public:
-  struct Entry {
-    SimTime total_ns = 0;
-    uint64_t count = 0;
-    bool operator==(const Entry&) const = default;
-  };
-
-  // Interns (or looks up) a category name. Ids are dense, stable for the
-  // process lifetime, and shared by all Breakdown instances. Single-threaded,
-  // like the rest of the simulator.
-  static int InternCategory(std::string_view category);
-  static const std::string& CategoryName(int id);
-
-  // Hot path: indexed accumulate.
-  void Add(int category_id, SimTime ns) {
-    MAGESIM_PROF_SCOPE(breakdown_add);
-    if (category_id >= static_cast<int>(by_id_.size())) {
-      by_id_.resize(static_cast<size_t>(category_id) + 1);
-    }
-    Entry& e = by_id_[static_cast<size_t>(category_id)];
-    e.total_ns += ns;
-    ++e.count;
-  }
-
-  // String-keyed convenience wrapper (interns on every call).
-  void Add(const std::string& category, SimTime ns) { Add(InternCategory(category), ns); }
-
-  // Mean ns per `per_count` events (e.g. per fault).
-  double MeanPer(int category_id, uint64_t per_count) const;
-  double MeanPer(const std::string& category, uint64_t per_count) const;
-
-  // Name-keyed view, materialized for reporting; categories this breakdown
-  // never touched are omitted.
-  std::map<std::string, Entry> entries() const;
-
-  void Reset() { by_id_.clear(); }
-
- private:
-  std::vector<Entry> by_id_;  // indexed by interned category id
 };
 
 // Fixed-width time-bucketed series (for throughput timelines, Fig. 11).

@@ -10,6 +10,7 @@
 
 #include "src/metrics/profiler.h"
 #include "src/metrics/sampler.h"
+#include "src/paging/stage.h"
 #include "src/sim/engine.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -83,15 +84,15 @@ TEST(SimProfilerTest, PhaseScopesAttributeElapsedSimTime) {
   prof.Install();
   auto body = [](SimProfiler& p) -> Task<> {
     {
-      PhaseScope ps(0, SimPhase::kRdmaWait);
+      StageScope s(SpanKind::kRdmaRead, 0, kTraceNoPage, {}, nullptr);  // -> rdma_wait
       co_await Delay{3900};
     }
     {
-      PhaseScope ps(0, SimPhase::kFaultMap);
+      StageScope s(SpanKind::kEntry, 0, kTraceNoPage, {}, nullptr);  // -> fault_map
       co_await Delay{600};
     }
     {
-      PhaseScope ps(1, SimPhase::kEviction);
+      StageScope s(SpanKind::kReclaim, 1, kTraceNoPage, {}, nullptr);  // -> eviction
       co_await Delay{1000};
     }
     p.AddPhase(1, SimPhase::kAppCompute, 250);
@@ -123,7 +124,7 @@ TEST(SimProfilerTest, ScopesAreFreeWhenNoProfilerInstalled) {
   ASSERT_EQ(SimProfiler::Get(), nullptr);
   Engine e;
   auto body = []() -> Task<> {
-    PhaseScope ps(0, SimPhase::kRdmaWait);
+    StageScope s(SpanKind::kRdmaRead, 0, kTraceNoPage, {}, nullptr);
     co_await Delay{100};
   };
   e.Spawn(body());

@@ -162,9 +162,9 @@ TEST(RunReportTest, SameSeedRunsAreByteIdenticalModuloWallClock) {
 
 TEST(RunReportTest, ReportHasSchemaVersionAndSections) {
   ReportRun r = RunReportedMachine(3);
-  EXPECT_NE(r.json.find("\"schema_version\":2"), std::string::npos);
+  EXPECT_NE(r.json.find("\"schema_version\":3"), std::string::npos);
   for (const char* key : {"\"wall_clock\":", "\"config\":", "\"run\":", "\"counters\":",
-                          "\"gauges\":", "\"histograms\":", "\"breakdowns\":",
+                          "\"gauges\":", "\"histograms\":", "\"fault_stages\":",
                           "\"profiler\":", "\"timeseries\":", "\"lock_wait\":"}) {
     EXPECT_NE(r.json.find(key), std::string::npos) << key;
   }

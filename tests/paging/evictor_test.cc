@@ -20,6 +20,12 @@ RunResult RunScan(KernelConfig cfg, double ratio, int threads = 16, uint64_t pag
   return m.Run();
 }
 
+// TLB time spent inside fault handling: shootdown stages run by sync eviction.
+SimTime FaultTlbNs(const RunResult& r) {
+  return r.fault_stages[static_cast<size_t>(SpanKind::kShootdownWait)].total_ns +
+         r.fault_stages[static_cast<size_t>(SpanKind::kLazyTlbWait)].total_ns;
+}
+
 TEST(EvictorTest, PipelinedBeatsSequentialUnderPressure) {
   // A write scan dirties every page: eviction must write back, and the
   // pipelined design hides those RDMA-write waits behind the other stages.
@@ -51,7 +57,7 @@ TEST(EvictorTest, PipelinedEvictorKeepsFaultPathFreeOfTlbWork) {
   RunResult r = RunScan(MageLibConfig(), 0.5);
   // No sync eviction => no shootdown time attributed inside fault handling.
   EXPECT_EQ(r.sync_evictions, 0u);
-  EXPECT_EQ(r.fault_breakdown.MeanPer("tlb", r.faults), 0.0);
+  EXPECT_EQ(FaultTlbNs(r), 0);
   // Shootdowns happened, just on the eviction path.
   EXPECT_GT(r.tlb_shootdown_latency.count(), 0u);
 }
@@ -60,7 +66,7 @@ TEST(EvictorTest, SequentialBaselineFallsBackToSyncEviction) {
   KernelConfig cfg = HermitConfig();
   RunResult r = RunScan(cfg, 0.3, 32, 32768, 3, 100);
   EXPECT_GT(r.sync_evictions, 0u);
-  EXPECT_GT(r.fault_breakdown.MeanPer("tlb", r.faults), 0.0);
+  EXPECT_GT(FaultTlbNs(r), 0);
 }
 
 TEST(EvictorTest, EvictionKeepsUpNoFreePageStarvation) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/accounting/partitioned_fifo.h"
+#include "src/metrics/profiler.h"
 #include "src/paging/kernels.h"
 #include "src/sim/engine.h"
 
@@ -82,6 +84,53 @@ TEST(KernelTest, SingleFaultLatencyNearUncontendedBudget) {
   EXPECT_LT(elapsed, 7000);
   EXPECT_TRUE(rig.kernel.page_table().At(500).present);
   EXPECT_EQ(rig.kernel.stats().faults, 1u);
+}
+
+TEST(KernelTest, FaultStageTotalsMatchClosedFormCosts) {
+  // One thread, one uncontended major fault: every stage total is the
+  // configured cost it models, and the stages partition the fault.
+  KernelConfig cfg = MageLibConfig();
+  Rig rig(cfg);
+  rig.kernel.Prepopulate(100);
+  SimProfiler prof(8);
+  prof.Install();
+  SimTime elapsed = -1;
+  rig.engine.Spawn([](Rig& rig, SimTime& elapsed) -> Task<> {
+    SimTime t0 = Engine::current().now();
+    co_await rig.kernel.Fault(0, 500, false);
+    elapsed = Engine::current().now() - t0;
+  }(rig, elapsed));
+  rig.engine.Run();
+  prof.Uninstall();
+
+  const KernelStats& ks = rig.kernel.stats();
+  auto stage = [&](SpanKind k) { return ks.fault_stages[static_cast<size_t>(k)]; };
+  const MachineParams& hw = rig.params;
+  EXPECT_EQ(stage(SpanKind::kEntry).total_ns, cfg.fault_entry_ns + hw.page_table_walk_ns);
+  EXPECT_EQ(stage(SpanKind::kEntry).total_ns, 450);
+  EXPECT_EQ(stage(SpanKind::kMapInstall).total_ns, cfg.fault_extra_ns + hw.pte_update_ns);
+  EXPECT_EQ(stage(SpanKind::kMapInstall).total_ns, 140);
+  EXPECT_EQ(stage(SpanKind::kRdmaRead).total_ns, hw.UnloadedRdmaNs());
+  EXPECT_EQ(stage(SpanKind::kAccounting).total_ns, PartitionedFifoCosts{}.insert_cs_ns);
+  EXPECT_GT(stage(SpanKind::kAlloc).total_ns, 0);
+
+  SimTime sum = 0;
+  for (int k = 0; k < kNumSpanKinds; ++k) {
+    const StageTotal& e = ks.fault_stages[static_cast<size_t>(k)];
+    EXPECT_LE(e.count, 1u) << SpanKindName(static_cast<SpanKind>(k));
+    sum += e.total_ns;
+  }
+  EXPECT_EQ(ks.fault_latency.count(), 1u);
+  EXPECT_EQ(ks.fault_latency.sum(), elapsed);
+  EXPECT_EQ(sum, elapsed);
+
+  // The profiler saw the same intervals through the SpanKind -> SimPhase map.
+  EXPECT_EQ(prof.core_phase(0, SimPhase::kFaultMap),
+            stage(SpanKind::kEntry).total_ns + stage(SpanKind::kMapInstall).total_ns);
+  EXPECT_EQ(prof.core_phase(0, SimPhase::kFaultAlloc), stage(SpanKind::kAlloc).total_ns);
+  EXPECT_EQ(prof.core_phase(0, SimPhase::kRdmaWait), hw.UnloadedRdmaNs());
+  EXPECT_EQ(prof.core_phase(0, SimPhase::kAccounting), PartitionedFifoCosts{}.insert_cs_ns);
+  EXPECT_EQ(prof.core_attributed(0), elapsed);
 }
 
 TEST(KernelTest, FaultDedupIssuesOneRead) {

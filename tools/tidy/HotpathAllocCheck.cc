@@ -25,7 +25,7 @@ HotpathAllocCheck::HotpathAllocCheck(StringRef Name, ClangTidyContext *Context)
       AllowedContainersRegexStr(Options.get(
           "AllowedContainersRegex",
           "^(RingQueue|DAryHeap|IntrusiveList|VpnSet|SlabAllocator|"
-          "FixedVector|Histogram|Breakdown)$")),
+          "FixedVector|Histogram)$")),
       AllowedContainersRegex(AllowedContainersRegexStr) {}
 
 void HotpathAllocCheck::storeOptions(ClangTidyOptions::OptionMap &Opts) {

@@ -78,7 +78,7 @@ LONG_LIVED_TYPES = {
 # with one of these types.
 ALLOWED_CONTAINER_TYPES = (
     "RingQueue", "DAryHeap", "IntrusiveList", "VpnSet", "SlabAllocator",
-    "FixedVector", "Histogram", "Breakdown",
+    "FixedVector", "Histogram",
 )
 
 GROWTH_METHODS = (
