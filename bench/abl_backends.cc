@@ -13,13 +13,10 @@ double NormalizedAt(const KernelConfig& cfg, const MachineParams& hw, int far,
   double base_jph = 0;
   for (int pass = 0; pass < 2; ++pass) {
     auto wl = make();
-    FarMemoryMachine::Options opt;
-    opt.kernel = cfg;
-    opt.hw = hw;
-    opt.hw_overridden = true;
-    opt.local_mem_ratio = pass == 0 ? 1.0 : 1.0 - far / 100.0;
-    FarMemoryMachine m(opt, *wl);
-    RunResult r = m.Run();
+    RunResult r = RunMachine({.kernel = cfg,
+                              .local_mem_ratio = pass == 0 ? 1.0 : 1.0 - far / 100.0,
+                              .hw = hw},
+                             *wl);
     if (pass == 0) {
       base_jph = r.jobs_per_hour;
     } else {

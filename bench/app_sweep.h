@@ -34,12 +34,7 @@ inline std::vector<SweepPoint> SweepSystem(const KernelConfig& cfg, const Worklo
   double t0 = 0;
   {
     auto wl = make();
-    FarMemoryMachine::Options opt;
-    opt.kernel = cfg;
-    opt.local_mem_ratio = 1.0;
-    opt.seed = seed;
-    FarMemoryMachine m(opt, *wl);
-    RunResult r = m.Run();
+    RunResult r = RunMachine({.kernel = cfg, .local_mem_ratio = 1.0, .seed = seed}, *wl);
     base_jph = r.jobs_per_hour;
     t0 = r.sim_seconds;
   }
@@ -49,12 +44,10 @@ inline std::vector<SweepPoint> SweepSystem(const KernelConfig& cfg, const Worklo
       continue;
     }
     auto wl = make();
-    FarMemoryMachine::Options opt;
-    opt.kernel = cfg;
-    opt.local_mem_ratio = 1.0 - static_cast<double>(far) / 100.0;
-    opt.seed = seed;
-    FarMemoryMachine m(opt, *wl);
-    RunResult r = m.Run();
+    RunResult r = RunMachine({.kernel = cfg,
+                              .local_mem_ratio = 1.0 - static_cast<double>(far) / 100.0,
+                              .seed = seed},
+                             *wl);
     out.push_back({far, r.jobs_per_hour, base_jph > 0 ? r.jobs_per_hour / base_jph : 0, r.faults,
                    r.sync_evictions, r.faults_per_core, t0});
   }

@@ -5,10 +5,10 @@
 // full suite finishes in minutes on one host core while remaining faithful in
 // shape. Determinism: all randomness is seeded; same scale => same output.
 //
-// Debugging: set MAGESIM_CHECK_INTERVAL_US=<us> to run every simulation in a
-// harness under the invariant checker (src/check/) at that period, plus a
-// final check when each run drains — no code changes needed. Violations show
-// up in RunResult::invariant_violations; see docs/INTERNALS.md.
+// Every harness applies the MAGESIM_* overrides (ApplyEnvOverrides, directly
+// or via RunMachine), so e.g. MAGESIM_CHECK_INTERVAL_US=<us> runs each
+// simulation under the invariant checker at that period plus a final check —
+// no code changes needed. See docs/INTERNALS.md.
 #ifndef MAGESIM_BENCH_BENCH_COMMON_H_
 #define MAGESIM_BENCH_BENCH_COMMON_H_
 
@@ -16,11 +16,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "src/core/farmem.h"
 #include "src/core/ideal_model.h"
+#include "src/core/option_table.h"
 #include "src/core/report.h"
 #include "src/paging/kernels.h"
+#include "src/tenancy/tenant_spec.h"
 
 namespace magesim {
 
@@ -66,6 +69,50 @@ inline BenchReps BenchRepsFromEnv(int default_warmup, int default_measure) {
     r.from_env = true;
   }
   return r;
+}
+
+// Runs `wl` on a machine built from `opt` with the MAGESIM_* overrides on top.
+inline RunResult RunMachine(FarMemoryMachine::Options opt, Workload& wl) {
+  ApplyEnvOverrides(&opt);
+  return FarMemoryMachine(opt, wl).Run();
+}
+
+// Exits with a FATAL line when a run saw invariant violations or aborted.
+inline void CheckClean(FarMemoryMachine& m, const RunResult& r, const char* label) {
+  if (r.invariant_violations != 0) {
+    std::fprintf(stderr, "FATAL: invariant violations in %s run\n%s\n", label,
+                 m.checker()->Report().c_str());
+    std::exit(1);
+  }
+  if (r.aborted) {
+    std::fprintf(stderr, "FATAL: %s run aborted: %s\n", label, r.abort_reason.c_str());
+    std::exit(1);
+  }
+}
+
+// Ops completed by application threads [begin, end).
+inline uint64_t ThreadOps(FarMemoryMachine& m, int begin, int end) {
+  uint64_t ops = 0;
+  for (int tid = begin; tid < end; ++tid) ops += m.threads()[static_cast<size_t>(tid)]->ops;
+  return ops;
+}
+
+// Parses a tenancy spec list (exiting on error) and scales each tenant's
+// `pages` option by MAGESIM_SCALE.
+inline std::vector<TenantSpec> ScaledTenantSpecs(const char* spec) {
+  TenancyOptions opts;
+  std::string err;
+  if (!ParseTenancyList(spec, &opts, &err)) {
+    std::fprintf(stderr, "FATAL: bad tenant spec: %s\n", err.c_str());
+    std::exit(1);
+  }
+  for (TenantSpec& s : opts.tenants) {
+    if (s.workload_opts.count("pages") != 0) {
+      s.workload_opts["pages"] = std::to_string(Scaled(
+          std::strtoull(s.workload_opts["pages"].c_str(), nullptr, 10)));
+    }
+  }
+  return opts.tenants;
 }
 
 // Offloading sweep used by most application figures (percent far memory).

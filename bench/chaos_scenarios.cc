@@ -39,10 +39,10 @@ struct ChaosResult {
 };
 
 ChaosResult RunScenario(Workload& wl, const char* plan, SimTime run_for) {
-  FarMemoryMachine::Options opt;
-  opt.kernel = MageLibConfig();
-  opt.local_mem_ratio = 0.5;
-  opt.seed = 42;
+  FarMemoryMachine::Options opt{.kernel = MageLibConfig(), .local_mem_ratio = 0.5, .seed = 42};
+  // Plans are per-scenario: applied after the env overrides so a
+  // MAGESIM_FAULT_PLAN cannot clobber the baseline row.
+  ApplyEnvOverrides(&opt);
   opt.fault_plan = plan;
   opt.time_limit = run_for;
   opt.check_final = true;
@@ -50,11 +50,7 @@ ChaosResult RunScenario(Workload& wl, const char* plan, SimTime run_for) {
   ChaosResult out;
   out.r = m.Run();
   out.mops = out.r.ops_per_sec / 1e6;
-  if (out.r.invariant_violations != 0) {
-    std::fprintf(stderr, "FATAL: invariant violations under plan '%s'\n%s\n", plan,
-                 m.checker()->Report().c_str());
-    std::exit(1);
-  }
+  CheckClean(m, out.r, plan);
   return out;
 }
 
@@ -84,9 +80,6 @@ void RunWorkloadSweep(const char* wl_name, SimTime run_for,
 
 int main() {
   using namespace magesim;
-  // Plans are per-scenario; a machine-level env override would clobber the
-  // baseline row too.
-  unsetenv("MAGESIM_FAULT_PLAN");
   PrintBanner("Chaos scenarios: throughput retained under scripted fault plans "
               "(50% far memory, magelib)");
 

@@ -9,12 +9,8 @@ namespace {
 
 double FaultOnlyMops(const KernelConfig& cfg, int threads, uint64_t pages_per_thread) {
   FaultOnlySeqRead wl({.pages_per_thread = pages_per_thread, .threads = threads});
-  FarMemoryMachine::Options opt;
-  opt.kernel = cfg;
-  opt.local_mem_ratio = 1.0;  // pages pre-evicted by the workload itself
-  FarMemoryMachine m(opt, wl);
-  RunResult r = m.Run();
-  return r.fault_mops;
+  // Pages pre-evicted by the workload itself.
+  return RunMachine({.kernel = cfg, .local_mem_ratio = 1.0}, wl).fault_mops;
 }
 
 double FaultEvictMops(const KernelConfig& cfg, int threads, uint64_t pages) {
@@ -24,13 +20,11 @@ double FaultEvictMops(const KernelConfig& cfg, int threads, uint64_t pages) {
                       .threads = threads,
                       .passes = 1000,
                       .compute_per_page_ns = 100});
-  FarMemoryMachine::Options opt;
-  opt.kernel = cfg;
-  opt.local_mem_ratio = 0.5;
-  opt.time_limit = 45 * kMillisecond;
-  opt.stats_warmup = 15 * kMillisecond;
-  FarMemoryMachine m(opt, wl);
-  RunResult r = m.Run();
+  RunResult r = RunMachine({.kernel = cfg,
+                            .local_mem_ratio = 0.5,
+                            .time_limit = 45 * kMillisecond,
+                            .stats_warmup = 15 * kMillisecond},
+                           wl);
   return r.fault_mops;
 }
 

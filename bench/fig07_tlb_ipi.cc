@@ -12,13 +12,11 @@ RunResult RunCase(const KernelConfig& cfg, int threads) {
                       .threads = threads,
                       .passes = 1000,
                       .compute_per_page_ns = 100});
-  FarMemoryMachine::Options opt;
-  opt.kernel = cfg;
-  opt.local_mem_ratio = 0.5;
-  opt.time_limit = 30 * kMillisecond;
-  opt.stats_warmup = 10 * kMillisecond;
-  FarMemoryMachine m(opt, wl);
-  return m.Run();
+  return RunMachine({.kernel = cfg,
+                     .local_mem_ratio = 0.5,
+                     .time_limit = 30 * kMillisecond,
+                     .stats_warmup = 10 * kMillisecond},
+                    wl);
 }
 
 }  // namespace

@@ -18,12 +18,11 @@ std::vector<double> RunTimeline(const KernelConfig& cfg, SimTime phase_at, SimTi
                    .zipf_theta = 0.6,  // spread the hot set across region B
                    .phase_change_at = phase_at,
                    .run_for = run_for});
-  FarMemoryMachine::Options opt;
-  opt.kernel = cfg;
-  opt.local_mem_ratio = 0.85;  // paper: 85% local memory
-  opt.time_limit = run_for + 100 * kMillisecond;
-  opt.metrics.enabled = true;
-  opt.metrics.sample_interval = kBucket;
+  FarMemoryMachine::Options opt{.kernel = cfg,
+                                .local_mem_ratio = 0.85,  // paper: 85% local memory
+                                .time_limit = run_for + 100 * kMillisecond,
+                                .metrics = {.enabled = true, .sample_interval = kBucket}};
+  ApplyEnvOverrides(&opt);
   FarMemoryMachine m(opt, wl);
   m.Run();
   // Sample k (at t = k*kBucket) carries the windowed rate over bucket k-1.

@@ -16,11 +16,7 @@ PhaseResult RunMetis(const KernelConfig& cfg, double local_ratio) {
   MetisWorkload wl({.input_pages = Scaled(24 * 1024),
                     .intermediate_pages = Scaled(16 * 1024),
                     .threads = 48});
-  FarMemoryMachine::Options opt;
-  opt.kernel = cfg;
-  opt.local_mem_ratio = local_ratio;
-  FarMemoryMachine m(opt, wl);
-  m.Run();
+  RunMachine({.kernel = cfg, .local_mem_ratio = local_ratio}, wl);
   double map_s = NsToSec(wl.map_done_at());
   double red_s = NsToSec(wl.reduce_done_at() - wl.map_done_at());
   return {map_s > 0 ? 3600.0 / map_s : 0, red_s > 0 ? 3600.0 / red_s : 0};

@@ -16,13 +16,11 @@ McResult RunMc(const KernelConfig& cfg, double local_ratio, double load_ops) {
   MemcachedWorkload wl({.num_keys = Scaled(1) << 19,
                         .load_ops_per_sec = load_ops,
                         .duration = 1 * kSecond});
-  FarMemoryMachine::Options opt;
-  opt.kernel = cfg;
-  opt.local_mem_ratio = local_ratio;
-  opt.time_limit = 1200 * kMillisecond;
-  opt.stats_warmup = 200 * kMillisecond;
-  FarMemoryMachine m(opt, wl);
-  m.Run();
+  RunMachine({.kernel = cfg,
+              .local_mem_ratio = local_ratio,
+              .time_limit = 1200 * kMillisecond,
+              .stats_warmup = 200 * kMillisecond},
+             wl);
   return {static_cast<double>(wl.request_latency().Percentile(99)) / 1000.0,
           wl.AchievedOpsPerSec() / 1000.0};
 }

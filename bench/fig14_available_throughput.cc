@@ -15,13 +15,11 @@ int main() {
                         .threads = 48,
                         .passes = 1000,
                         .compute_per_page_ns = 100});
-    FarMemoryMachine::Options opt;
-    opt.kernel = cfg;
-    opt.local_mem_ratio = 0.3;
-    opt.time_limit = 60 * kMillisecond;
-    opt.stats_warmup = 20 * kMillisecond;
-    FarMemoryMachine m(opt, wl);
-    RunResult r = m.Run();
+    RunResult r = RunMachine({.kernel = cfg,
+                              .local_mem_ratio = 0.3,
+                              .time_limit = 60 * kMillisecond,
+                              .stats_warmup = 20 * kMillisecond},
+                             wl);
     t.AddRow({cfg.name, Table::Num(r.nic_read_gbps, 1),
               Table::Pct(r.nic_read_gbps / 192.0 * 100),
               Table::Num(static_cast<double>(r.fault_latency.Percentile(99)) / 1000.0, 1),

@@ -18,13 +18,11 @@ Point RunSystem(const KernelConfig& cfg, int threads) {
                       .threads = threads,
                       .passes = 1000,
                       .compute_per_page_ns = 100});
-  FarMemoryMachine::Options opt;
-  opt.kernel = cfg;
-  opt.local_mem_ratio = 0.5;
-  opt.time_limit = 45 * kMillisecond;
-  opt.stats_warmup = 15 * kMillisecond;
-  FarMemoryMachine m(opt, wl);
-  RunResult r = m.Run();
+  RunResult r = RunMachine({.kernel = cfg,
+                            .local_mem_ratio = 0.5,
+                            .time_limit = 45 * kMillisecond,
+                            .stats_warmup = 15 * kMillisecond},
+                           wl);
   return {r.fault_mops, static_cast<double>(r.fault_latency.Percentile(99)) / 1000.0};
 }
 

@@ -54,55 +54,14 @@ struct Outcome {
   double retained = 0;
 };
 
-void CheckClean(FarMemoryMachine& m, const RunResult& r, const char* label) {
-  if (r.invariant_violations != 0) {
-    std::fprintf(stderr, "FATAL: invariant violations in %s run\n%s\n", label,
-                 m.checker()->Report().c_str());
-    std::exit(1);
-  }
-  if (r.aborted) {
-    std::fprintf(stderr, "FATAL: %s run aborted: %s\n", label, r.abort_reason.c_str());
-    std::exit(1);
-  }
-}
-
-std::vector<TenantSpec> ParsedSpecs() {
-  TenancyOptions opts;
-  std::string err;
-  if (!ParseTenancyList(kTenancySpec, &opts, &err)) {
-    std::fprintf(stderr, "FATAL: bad tenant spec: %s\n", err.c_str());
-    std::exit(1);
-  }
-  for (TenantSpec& s : opts.tenants) {
-    if (s.workload_opts.count("pages") != 0) {
-      s.workload_opts["pages"] = std::to_string(Scaled(
-          std::strtoull(s.workload_opts["pages"].c_str(), nullptr, 10)));
-    }
-  }
-  return opts.tenants;
-}
-
 FarMemoryMachine::Options FleetOptions() {
-  FarMemoryMachine::Options opt;
-  opt.kernel = MageLibConfig();
-  opt.local_mem_ratio = kLocalRatio;
-  opt.seed = 42;
-  opt.time_limit = kWindow;
-  opt.check_final = true;
-  opt.fleet.num_nodes = 4;
-  opt.fleet.replication = 2;
-  opt.fleet.rebuild_gbps = 50.0;
-  opt.tenancy.tenants = ParsedSpecs();
-  opt.tenancy.enabled = true;
-  return opt;
-}
-
-uint64_t LatOps(FarMemoryMachine& m, int begin, int end) {
-  uint64_t ops = 0;
-  for (int tid = begin; tid < end; ++tid) {
-    ops += m.threads()[static_cast<size_t>(tid)]->ops;
-  }
-  return ops;
+  return {.kernel = MageLibConfig(),
+          .local_mem_ratio = kLocalRatio,
+          .seed = 42,
+          .time_limit = kWindow,
+          .check_final = true,
+          .fleet = {.num_nodes = 4, .replication = 2, .rebuild_gbps = 50.0},
+          .tenancy = {.enabled = true, .tenants = ScaledTenantSpecs(kTenancySpec)}};
 }
 
 Outcome RunOnce() {
@@ -114,6 +73,7 @@ Outcome RunOnce() {
     FarMemoryMachine::Options opt = FleetOptions();
     SeqScanWorkload placeholder(
         SeqScanWorkload::Options{.region_pages = 64, .threads = 1, .passes = 1});
+    ApplyEnvOverrides(&opt);
     FarMemoryMachine m(opt, placeholder);
     RunResult r = m.Run();
     CheckClean(m, r, "healthy");
@@ -122,7 +82,7 @@ Outcome RunOnce() {
       std::fprintf(stderr, "FATAL: healthy fleet run was not healthy\n");
       std::exit(1);
     }
-    o.lat_ops_healthy = LatOps(m, lat_begin, lat_end);
+    o.lat_ops_healthy = ThreadOps(m, lat_begin, lat_end);
     o.events += m.engine().events_processed();
   }
 
@@ -131,6 +91,7 @@ Outcome RunOnce() {
     opt.fault_plan = kCrashPlan;
     SeqScanWorkload placeholder(
         SeqScanWorkload::Options{.region_pages = 64, .threads = 1, .passes = 1});
+    ApplyEnvOverrides(&opt);
     FarMemoryMachine m(opt, placeholder);
     RunResult r = m.Run();
     CheckClean(m, r, "crash");
@@ -159,7 +120,7 @@ Outcome RunOnce() {
       ok = false;
     }
     if (!ok) std::exit(1);
-    o.lat_ops_crash = LatOps(m, lat_begin, lat_end);
+    o.lat_ops_crash = ThreadOps(m, lat_begin, lat_end);
     o.degraded_reads = r.fleet_degraded_reads;
     o.repairs_queued = r.fleet_repairs_queued;
     o.slots_rebuilt = r.fleet_slots_rebuilt;

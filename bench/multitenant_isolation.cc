@@ -41,34 +41,16 @@ struct LatResult {
   RunResult r;
 };
 
-void CheckClean(FarMemoryMachine& m, const RunResult& r, const char* label) {
-  if (r.invariant_violations != 0) {
-    std::fprintf(stderr, "FATAL: invariant violations in %s run\n%s\n", label,
-                 m.checker()->Report().c_str());
-    std::exit(1);
-  }
-  if (r.aborted) {
-    std::fprintf(stderr, "FATAL: %s run aborted: %s\n", label, r.abort_reason.c_str());
-    std::exit(1);
-  }
-}
-
 FarMemoryMachine::Options BaseOptions(double local_ratio) {
-  FarMemoryMachine::Options opt;
-  opt.kernel = MageLibConfig();
-  opt.local_mem_ratio = local_ratio;
-  opt.seed = 42;
-  opt.time_limit = kWindow;
-  opt.check_final = true;
-  return opt;
+  return {.kernel = MageLibConfig(),
+          .local_mem_ratio = local_ratio,
+          .seed = 42,
+          .time_limit = kWindow,
+          .check_final = true};
 }
 
 double LatOpsPerSec(FarMemoryMachine& m, const RunResult& r, int begin, int end) {
-  uint64_t ops = 0;
-  for (int tid = begin; tid < end; ++tid) {
-    ops += m.threads()[static_cast<size_t>(tid)]->ops;
-  }
-  return static_cast<double>(ops) / r.sim_seconds;
+  return static_cast<double>(ThreadOps(m, begin, end)) / r.sim_seconds;
 }
 
 LatResult RunSolo() {
@@ -77,6 +59,7 @@ LatResult RunSolo() {
                                               .passes = 100000,
                                               .compute_per_page_ns = 2000});
   FarMemoryMachine::Options opt = BaseOptions(/*local_ratio=*/1.0);
+  ApplyEnvOverrides(&opt);
   FarMemoryMachine m(opt, wl);
   LatResult out;
   out.r = m.Run();
@@ -85,26 +68,10 @@ LatResult RunSolo() {
   return out;
 }
 
-std::vector<TenantSpec> ParsedSpecs() {
-  TenancyOptions opts;
-  std::string err;
-  if (!ParseTenancyList(kTenancySpec, &opts, &err)) {
-    std::fprintf(stderr, "FATAL: bad tenant spec: %s\n", err.c_str());
-    std::exit(1);
-  }
-  for (TenantSpec& s : opts.tenants) {
-    if (s.workload_opts.count("pages") != 0) {
-      s.workload_opts["pages"] = std::to_string(Scaled(
-          std::strtoull(s.workload_opts["pages"].c_str(), nullptr, 10)));
-    }
-  }
-  return opts.tenants;
-}
-
 // Shared-accounting baseline: the same two workloads, same cores, same vpn
 // windows — built directly as a composite workload so no cgroups attach.
 LatResult RunBaseline() {
-  std::vector<TenantSpec> specs = ParsedSpecs();
+  std::vector<TenantSpec> specs = ScaledTenantSpecs(kTenancySpec);
   std::string err;
   std::unique_ptr<MultiTenantWorkload> wl = MultiTenantWorkload::Build(&specs, &err);
   if (wl == nullptr) {
@@ -112,6 +79,7 @@ LatResult RunBaseline() {
     std::exit(1);
   }
   FarMemoryMachine::Options opt = BaseOptions(kCombinedLocalRatio);
+  ApplyEnvOverrides(&opt);
   FarMemoryMachine m(opt, *wl);
   LatResult out;
   out.r = m.Run();
@@ -122,10 +90,11 @@ LatResult RunBaseline() {
 
 LatResult RunWithTenancy() {
   FarMemoryMachine::Options opt = BaseOptions(kCombinedLocalRatio);
-  opt.tenancy.tenants = ParsedSpecs();
+  opt.tenancy.tenants = ScaledTenantSpecs(kTenancySpec);
   opt.tenancy.enabled = true;
   SeqScanWorkload placeholder(
       SeqScanWorkload::Options{.region_pages = 64, .threads = 1, .passes = 1});
+  ApplyEnvOverrides(&opt);
   FarMemoryMachine m(opt, placeholder);
   LatResult out;
   out.r = m.Run();

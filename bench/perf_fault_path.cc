@@ -24,6 +24,7 @@ struct Outcome {
   uint64_t evicted = 0;
   uint64_t events = 0;
   uint64_t sim_ns = 0;
+  bool spans = false;  // MAGESIM_SPANS* enabled span tracing
 };
 
 Outcome RunOnce() {
@@ -31,11 +32,11 @@ Outcome RunOnce() {
                       .threads = 16,
                       .passes = 1000,
                       .compute_per_page_ns = 100});
-  FarMemoryMachine::Options opt;
-  opt.kernel = MageLibConfig();
-  opt.local_mem_ratio = 0.5;
-  opt.time_limit = 60 * kMillisecond;
-  opt.stats_warmup = 20 * kMillisecond;
+  FarMemoryMachine::Options opt{.kernel = MageLibConfig(),
+                                .local_mem_ratio = 0.5,
+                                .time_limit = 60 * kMillisecond,
+                                .stats_warmup = 20 * kMillisecond};
+  ApplyEnvOverrides(&opt);
   FarMemoryMachine m(opt, wl);
   RunResult r = m.Run();
   Outcome o;
@@ -43,6 +44,7 @@ Outcome RunOnce() {
   o.evicted = r.evicted_pages;
   o.events = m.engine().events_processed();
   o.sim_ns = static_cast<uint64_t>(r.sim_seconds * 1e9 + 0.5);
+  o.spans = m.spans() != nullptr;
   return o;
 }
 
@@ -67,9 +69,7 @@ int main() {
     out = got;
   }
 
-  const char* spans_env = std::getenv("MAGESIM_SPANS");
-  bool spans_on = spans_env != nullptr && spans_env[0] != '0';
-  PerfReport r(spans_on ? "fault_path_spans" : "fault_path", reps);
+  PerfReport r(out.spans ? "fault_path_spans" : "fault_path", reps);
   r.Sim("faults_per_rep", out.faults);
   r.Sim("evicted_pages_per_rep", out.evicted);
   r.Sim("events_per_rep", out.events);

@@ -28,9 +28,8 @@ SweepOutcome RunSweep() {
   for (int n : threads) {
     {  // Fault-in only (fig05 left half).
       FaultOnlySeqRead wl({.pages_per_thread = Scaled(1500), .threads = n});
-      FarMemoryMachine::Options opt;
-      opt.kernel = cfg;
-      opt.local_mem_ratio = 1.0;
+      FarMemoryMachine::Options opt{.kernel = cfg, .local_mem_ratio = 1.0};
+      ApplyEnvOverrides(&opt);
       FarMemoryMachine m(opt, wl);
       RunResult r = m.Run();
       out.events += m.engine().events_processed();
@@ -42,11 +41,11 @@ SweepOutcome RunSweep() {
                           .threads = n,
                           .passes = 1000,
                           .compute_per_page_ns = 100});
-      FarMemoryMachine::Options opt;
-      opt.kernel = cfg;
-      opt.local_mem_ratio = 0.5;
-      opt.time_limit = 25 * kMillisecond;
-      opt.stats_warmup = 8 * kMillisecond;
+      FarMemoryMachine::Options opt{.kernel = cfg,
+                                    .local_mem_ratio = 0.5,
+                                    .time_limit = 25 * kMillisecond,
+                                    .stats_warmup = 8 * kMillisecond};
+      ApplyEnvOverrides(&opt);
       FarMemoryMachine m(opt, wl);
       RunResult r = m.Run();
       out.events += m.engine().events_processed();

@@ -14,11 +14,7 @@ namespace magesim {
 namespace {
 
 double RunLocal(const KernelConfig& cfg, Workload& wl) {
-  FarMemoryMachine::Options opt;
-  opt.kernel = cfg;
-  opt.local_mem_ratio = 1.0;
-  FarMemoryMachine m(opt, wl);
-  RunResult r = m.Run();
+  RunResult r = RunMachine({.kernel = cfg, .local_mem_ratio = 1.0}, wl);
   // Ops/s rather than jobs/hour: ratios are identical for fixed-work jobs
   // and remain meaningful for fixed-duration ones (GUPS).
   return r.ops_per_sec;

@@ -8,15 +8,15 @@
 #include <numeric>
 
 #include "src/core/farmem.h"
+#include "src/core/option_table.h"
 #include "src/workloads/pagerank.h"
 
 namespace {
 
 magesim::RunResult RunOn(const magesim::KernelConfig& kernel,
                          magesim::PageRankWorkload& workload, double local_ratio) {
-  magesim::FarMemoryMachine::Options options;
-  options.kernel = kernel;
-  options.local_mem_ratio = local_ratio;
+  magesim::FarMemoryMachine::Options options{.kernel = kernel, .local_mem_ratio = local_ratio};
+  magesim::ApplyEnvOverrides(&options);
   magesim::FarMemoryMachine machine(options, workload);
   return machine.Run();
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "src/core/farmem.h"
+#include "src/core/option_table.h"
 #include "src/workloads/memcached.h"
 
 namespace {
@@ -17,11 +18,11 @@ double P99Us(const magesim::KernelConfig& kernel, double local_ratio, double loa
                               .load_ops_per_sec = load,
                               .server_threads = 24,
                               .duration = 500 * kMillisecond});
-  FarMemoryMachine::Options options;
-  options.kernel = kernel;
-  options.local_mem_ratio = local_ratio;
-  options.time_limit = 600 * kMillisecond;
-  options.stats_warmup = 100 * kMillisecond;
+  FarMemoryMachine::Options options{.kernel = kernel,
+                                    .local_mem_ratio = local_ratio,
+                                    .time_limit = 600 * kMillisecond,
+                                    .stats_warmup = 100 * kMillisecond};
+  ApplyEnvOverrides(&options);
   FarMemoryMachine machine(options, workload);
   machine.Run();
   return static_cast<double>(workload.request_latency().Percentile(99)) / 1000.0;

@@ -12,43 +12,15 @@
 // --list-workloads for names, descriptions and per-workload options, and pass
 // overrides with --workload-opts=key=val,key=val. "trace" requires
 // --trace-file.
-// Systems:   ideal, hermit, dilos, magelnx, magelib, fastswap.
 //
-// Multi-tenancy (src/tenancy):
-//   --tenant=spec         attach a memory control group running its own
-//                         workload; repeat the flag once per tenant. Spec
-//                         grammar: name:weight:limit[:soft]:qos=workload
-//                         [/threads][,key=val...] — see src/tenancy/
-//                         tenant_spec.h. MAGESIM_TENANCY overrides.
-// Debugging:
-//   --trace=path          write every simulation event as JSONL
-//   --trace-chrome=path   write a chrome://tracing / Perfetto JSON timeline
-//   --check-interval=us   run the invariant checker every N simulated µs
-//   --check               run one invariant check after the simulation drains
-// Fault injection (src/resilience):
-//   --fault-plan=spec     compact spec, JSON, or @file: e.g.
-//                         "brownout@2ms-6ms:bw=0.2;crash@10ms-12ms"
-//   --terminal=poison|fail  policy when a demand read exhausts retries
-//   --seed=N              simulation seed (default 1)
-// Observability:
-//   --metrics-out=path       write the JSON run-report
-//   --metrics-csv=path       write the sampler time series as CSV
-//   --metrics-prom=path      write a Prometheus text exposition
-//   --sample-interval-us=N   sampling period (default 1000)
-//   --progress               print a per-sample progress line to stderr
-// Span tracing (src/spans):
-//   --spans                  enable causal span tracing + tail attribution
-//   --spans-out=path         stream every span tree as JSONL (implies --spans;
-//                            feed to tools/span_view.py)
-//   --spans-top-k=N          slowest exemplars kept per op kind (default 8)
-//   --spans-sample=N         trace every Nth root op per kind (default 16;
-//                            1 = full fidelity, deterministic either way)
-// Unknown --flags are rejected (no silent typo-ignoring).
-// Exit status is nonzero if any invariant violation was detected.
+// Run with no arguments for the flag list, generated from the shared option
+// table (src/core/option_table.h); a MAGESIM_* variable overrides its flag.
+// Unknown flags, stray arguments and malformed values exit with status 2;
+// invariant violations exit with status 1.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,85 +28,69 @@
 #include "src/trace/trace.h"
 
 #include "src/core/farmem.h"
+#include "src/core/option_table.h"
 #include "src/tenancy/tenant_spec.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/trace.h"
 
 namespace {
 
-// Every flag the CLI understands. Anything else is rejected with an error
-// (a typo'd --span-out silently running an un-traced simulation wastes far
-// more time than the check costs).
-constexpr const char* kKnownFlags[] = {
-    "list-workloads", "workload",       "system",        "far",
-    "threads",        "workload-opts",  "trace-file",    "save-trace",
-    "tenant",         "seed",           "fault-plan",    "terminal",
-    "check-interval", "check",          "analysis",      "metrics-out",
-    "metrics-csv",    "metrics-prom",   "sample-interval-us",
-    "progress",       "trace",          "trace-chrome",  "spans",
-    "spans-out",      "spans-top-k",    "spans-sample",  "fleet-nodes",
-    "fleet-replicas", "fleet-rebuild-gbps",
+using magesim::OptionRow;
+
+// Flags the CLI consumes itself; every other flag is a machine option from
+// the shared table. Their setter column stays null.
+constexpr OptionRow kCliFlags[] = {
+    {"workload", nullptr, "name", "workload to run (see --list-workloads)"},
+    {"system", nullptr, "name", "magelib|magelnx|dilos|hermit|fastswap|ideal (default magelib)"},
+    {"far", nullptr, "pct", "percent of the working set in far memory, 0..99 (default 30)"},
+    {"threads", nullptr, "N", "application threads, 1..core count (default 24)"},
+    {"workload-opts", nullptr, "k=v,...", "per-workload option overrides"},
+    {"trace-file", nullptr, "path", "trace to replay; --workload=trace requires it"},
+    {"save-trace", nullptr, "path", "save the trace of a trace-backed workload"},
+    {"trace", nullptr, "path", "write every simulation event as JSONL"},
+    {"trace-chrome", nullptr, "path", "write a chrome://tracing / Perfetto timeline"},
+    {"list-workloads", nullptr, nullptr, "list workloads and their options, then exit"},
 };
 
-bool IsKnownFlag(const std::string& name) {
-  for (const char* f : kKnownFlags) {
-    if (name == f) return true;
+const OptionRow* FindFlag(const std::string& name) {
+  for (const OptionRow& row : kCliFlags) {
+    if (name == row.flag) return &row;
   }
-  return false;
+  return magesim::FindOption(name);
 }
 
-// Returns false (after printing the offender) on any unknown --flag.
+// Collects --flag=value pairs. A bare switch reads as "1"; a repeated
+// --tenant joins its specs with ';' (the tenancy list separator); any other
+// repeat keeps the last value. Returns false after printing the offender.
 bool ParseArgs(int argc, char** argv, std::map<std::string, std::string>* args) {
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) continue;
     size_t eq = a.find('=');
-    std::string name = eq == std::string::npos ? a.substr(2) : a.substr(2, eq - 2);
-    if (!IsKnownFlag(name)) {
-      std::fprintf(stderr, "unknown option --%s\n", name.c_str());
+    bool dashed = a.rfind("--", 0) == 0;
+    std::string name = dashed ? a.substr(2, eq == std::string::npos ? eq : eq - 2) : "";
+    const OptionRow* row = FindFlag(name);
+    if (row == nullptr) {
+      std::fprintf(stderr, "unknown argument '%s'\n", a.c_str());
       return false;
     }
-    if (eq == std::string::npos) {
-      // insert_or_assign rather than operator[]= : the latter trips a GCC 12
-      // -Wrestrict false positive (PR105329) when the char* assign inlines.
-      args->insert_or_assign(name, std::string("1"));
-    } else {
-      args->insert_or_assign(name, a.substr(eq + 1));
+    if (eq == std::string::npos && row->value != nullptr) {
+      std::fprintf(stderr, "%s needs a value: --%s=%s\n", a.c_str(), row->flag, row->value);
+      return false;
     }
+    std::string value = eq == std::string::npos ? "1" : a.substr(eq + 1);
+    auto it = args->find(name);
+    if (it != args->end() && name == "tenant") value = it->second + ";" + value;
+    // insert_or_assign rather than operator[]= : the latter trips a GCC 12
+    // -Wrestrict false positive (PR105329) when the char* assign inlines.
+    args->insert_or_assign(name, std::move(value));
   }
   return true;
-}
-
-// ParseArgs collapses repeated flags; --tenant legitimately repeats, so it
-// gets its own pass over argv.
-std::vector<std::string> CollectTenantSpecs(int argc, char** argv) {
-  std::vector<std::string> specs;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--tenant=", 0) == 0) specs.push_back(a.substr(std::strlen("--tenant=")));
-  }
-  return specs;
 }
 
 std::string Get(const std::map<std::string, std::string>& args, const std::string& key,
                 const std::string& def) {
   auto it = args.find(key);
   return it == args.end() ? def : it->second;
-}
-
-// "key=val,key=val" -> map; returns false on an entry with no '='.
-bool ParseKvList(const std::string& s, std::map<std::string, std::string>* out) {
-  size_t pos = 0;
-  while (pos < s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    std::string kv = s.substr(pos, comma - pos);
-    size_t eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0) return false;
-    out->insert_or_assign(kv.substr(0, eq), kv.substr(eq + 1));
-    pos = comma + 1;
-  }
-  return true;
 }
 
 int ListWorkloadsMain() {
@@ -145,24 +101,27 @@ int ListWorkloadsMain() {
   return 0;
 }
 
+// Parses integer flag `name` in [lo, hi] into *out if given; false on error.
+bool IntFlag(const std::map<std::string, std::string>& args, const char* name, int64_t lo,
+             int64_t hi, int64_t* out) {
+  auto it = args.find(name);
+  if (it == args.end()) return true;
+  std::string err;
+  if (!magesim::ParseIntValue(it->second, lo, hi, out, &err)) {
+    std::fprintf(stderr, "bad --%s: %s\n", name, err.c_str());
+    return false;
+  }
+  return true;
+}
+
 int Usage() {
   std::fprintf(stderr,
-               "usage: magesim_cli --workload=<name> --system=<name> [--far=<pct>]\n"
-               "                   [--threads=N] [--workload-opts=k=v,...]\n"
-               "                   [--tenant=spec]... [--list-workloads]\n"
-               "                   [--trace-file=path] [--save-trace=path]\n"
-               "                   [--trace=events.jsonl] [--trace-chrome=timeline.json]\n"
-               "                   [--check-interval=us] [--check] [--analysis]\n"
-               "                   [--metrics-out=report.json] [--metrics-csv=series.csv]\n"
-               "                   [--metrics-prom=metrics.txt] [--sample-interval-us=N]\n"
-               "                   [--progress] [--fault-plan=spec|@file]\n"
-               "                   [--terminal=poison|fail] [--seed=N]\n"
-               "                   [--spans] [--spans-out=spans.jsonl] [--spans-top-k=N]\n"
-               "                   [--spans-sample=N] [--fleet-nodes=N]\n"
-               "                   [--fleet-replicas=K] [--fleet-rebuild-gbps=G]\n"
-               "workloads: see --list-workloads (trace requires --trace-file)\n"
-               "systems:   ideal hermit dilos magelnx magelib fastswap\n"
-               "tenants:   --tenant=name:weight:limit[:soft]:qos=workload[/threads][,k=v...]\n");
+               "usage: magesim_cli --workload=<name> [--system=<name>] [flags]\n"
+               "       magesim_cli --tenant=<spec>... [--system=<name>] [flags]\n"
+               "%s"
+               "machine options (a MAGESIM_* variable overrides its flag; setting any\n"
+               "metrics or spans option enables that subsystem):\n%s",
+               magesim::OptionUsage(kCliFlags).c_str(), magesim::OptionUsage().c_str());
   return 2;
 }
 
@@ -176,16 +135,20 @@ int main(int argc, char** argv) {
 
   std::string wname = Get(args, "workload", "");
   std::string sname = Get(args, "system", "magelib");
-  int far = std::atoi(Get(args, "far", "30").c_str());
-  int threads = std::atoi(Get(args, "threads", "24").c_str());
-  std::vector<std::string> tenant_specs = CollectTenantSpecs(argc, argv);
-  if (wname.empty() && tenant_specs.empty()) return Usage();
+  int64_t far = 30;
+  int64_t threads = 24;
+  if (!IntFlag(args, "far", 0, 99, &far) ||
+      !IntFlag(args, "threads", 1, MachineParams{}.cores(), &threads)) {
+    return 2;
+  }
+  if (wname.empty() && args.count("tenant") == 0) return Usage();
 
   std::unique_ptr<Workload> wl;
   if (!wname.empty()) {
     WorkloadParams params;
-    params.threads = threads;
-    if (!ParseKvList(Get(args, "workload-opts", ""), &params.opts)) {
+    params.threads = static_cast<int>(threads);
+    auto opts = args.find("workload-opts");
+    if (opts != args.end() && !ParseWorkloadOpts(opts->second, &params.opts)) {
       std::fprintf(stderr, "malformed --workload-opts (expected key=val,key=val)\n");
       return 2;
     }
@@ -222,54 +185,23 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument&) {
     return Usage();
   }
-  for (const std::string& s : tenant_specs) {
-    TenantSpec spec;
-    std::string terr;
-    if (!ParseTenantSpec(s, &spec, &terr)) {
-      std::fprintf(stderr, "bad --tenant spec '%s': %s\n", s.c_str(), terr.c_str());
-      return 2;
-    }
-    opt.tenancy.tenants.push_back(std::move(spec));
-  }
-  opt.tenancy.enabled = !opt.tenancy.tenants.empty();
   opt.local_mem_ratio = 1.0 - static_cast<double>(far) / 100.0;
   opt.time_limit = 5 * kSecond;  // safety stop for open-ended workloads
-  opt.seed = static_cast<uint64_t>(std::atoll(Get(args, "seed", "1").c_str()));
-  opt.fault_plan = Get(args, "fault-plan", "");
-  std::string terminal = Get(args, "terminal", "poison");
-  if (terminal == "fail") {
-    opt.resilience.terminal = TerminalPolicy::kFailRun;
-  } else if (terminal != "poison") {
-    return Usage();
+  // Flags first, then the environment on top: a MAGESIM_* variable wins.
+  for (const OptionRow& row : OptionTable()) {
+    auto it = args.find(row.flag);
+    std::string err;
+    if (it != args.end() && !ApplyOption(row.flag, it->second, &opt, &err)) {
+      std::fprintf(stderr, "%s\n", err.c_str());
+      return 2;
+    }
   }
-  long fleet_nodes = std::atol(Get(args, "fleet-nodes", "0").c_str());
-  if (fleet_nodes > 0) opt.fleet.num_nodes = static_cast<int>(fleet_nodes);
-  long fleet_replicas = std::atol(Get(args, "fleet-replicas", "0").c_str());
-  if (fleet_replicas > 0) opt.fleet.replication = static_cast<int>(fleet_replicas);
-  double fleet_gbps = std::atof(Get(args, "fleet-rebuild-gbps", "0").c_str());
-  if (fleet_gbps > 0) opt.fleet.rebuild_gbps = fleet_gbps;
-  long check_us = std::atol(Get(args, "check-interval", "0").c_str());
-  if (check_us > 0) opt.check_interval = check_us * kMicrosecond;
-  if (args.count("check") != 0) opt.check_final = true;
-  if (args.count("analysis") != 0) opt.analysis.enabled = true;
-
-  opt.metrics.report_path = Get(args, "metrics-out", "");
-  opt.metrics.csv_path = Get(args, "metrics-csv", "");
-  opt.metrics.prom_path = Get(args, "metrics-prom", "");
-  long sample_us = std::atol(Get(args, "sample-interval-us", "0").c_str());
-  if (sample_us > 0) opt.metrics.sample_interval = sample_us * kMicrosecond;
-  opt.metrics.progress = args.count("progress") != 0;
-  opt.metrics.enabled = !opt.metrics.report_path.empty() || !opt.metrics.csv_path.empty() ||
-                        !opt.metrics.prom_path.empty() || sample_us > 0 ||
-                        opt.metrics.progress;
-
-  opt.spans.out_path = Get(args, "spans-out", "");
-  long spans_top_k = std::atol(Get(args, "spans-top-k", "-1").c_str());
-  if (spans_top_k >= 0) opt.spans.top_k = static_cast<int>(spans_top_k);
-  long spans_sample = std::atol(Get(args, "spans-sample", "0").c_str());
-  if (spans_sample >= 1) opt.spans.sample_every = static_cast<int>(spans_sample);
-  opt.spans.enabled = args.count("spans") != 0 || !opt.spans.out_path.empty() ||
-                      spans_top_k >= 0 || spans_sample >= 1;
+  try {
+    ApplyEnvOverrides(&opt);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   // Install the tracer (if requested) before building the machine so the
   // checker's recent-event ring registers with it.
@@ -315,7 +247,7 @@ int main(int argc, char** argv) {
   // With tenancy the machine swaps in a MultiTenantWorkload; report that one.
   Workload& ran = machine.workload();
   std::printf("workload=%s system=%s far=%d%% threads=%d\n", ran.name().c_str(), sname.c_str(),
-              far, ran.num_threads());
+              static_cast<int>(far), ran.num_threads());
   std::printf("sim time        %.4f s\n", r.sim_seconds);
   std::printf("throughput      %.3f M %s/s\n", r.ops_per_sec / 1e6, ran.ops_unit().c_str());
   std::printf("major faults    %llu (%.2f M/s)\n",

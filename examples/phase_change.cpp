@@ -7,6 +7,7 @@
 #include <string>
 
 #include "src/core/farmem.h"
+#include "src/core/option_table.h"
 #include "src/workloads/gups.h"
 
 namespace {
@@ -19,10 +20,9 @@ void RunAndPlot(const magesim::KernelConfig& kernel) {
                          .phase_change_at = 500 * kMillisecond,
                          .run_for = 1 * kSecond,
                          .timeline_bucket = 100 * kMillisecond});
-  FarMemoryMachine::Options options;
-  options.kernel = kernel;
-  options.local_mem_ratio = 0.85;
-  options.time_limit = 1100 * kMillisecond;
+  FarMemoryMachine::Options options{
+      .kernel = kernel, .local_mem_ratio = 0.85, .time_limit = 1100 * kMillisecond};
+  ApplyEnvOverrides(&options);
   FarMemoryMachine machine(options, workload);
   machine.Run();
 

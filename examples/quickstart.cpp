@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "src/core/farmem.h"
+#include "src/core/option_table.h"
 #include "src/workloads/seqscan.h"
 
 int main() {
@@ -23,6 +24,7 @@ int main() {
   options.local_mem_ratio = 0.6;
 
   // 3. Run and inspect.
+  ApplyEnvOverrides(&options);
   FarMemoryMachine machine(options, workload);
   RunResult r = machine.Run();
 

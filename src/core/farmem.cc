@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <stdexcept>
 
@@ -44,25 +43,17 @@ std::string LoadFaultPlanText(const std::string& opt) {
 
 FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     : options_(std::move(options)), workload_(&workload) {
-  if (!options_.hw_overridden) {
+  if (!options_.hw) {
     options_.hw = options_.kernel.virtualized ? VirtualizedParams() : BareMetalParams();
   }
   engine_ = std::make_unique<Engine>();
-  topo_ = std::make_unique<Topology>(options_.hw);
+  topo_ = std::make_unique<Topology>(*options_.hw);
   tlb_ = std::make_unique<TlbShootdownManager>(*topo_);
-  nic_ = std::make_unique<RdmaNic>(options_.hw);
+  nic_ = std::make_unique<RdmaNic>(*options_.hw);
 
-  // Multi-tenant memory control groups: MAGESIM_TENANCY overrides the option,
-  // and a non-empty tenant list replaces the passed workload with a
-  // machine-built composite running one workload per tenant.
-  if (const char* env = std::getenv("MAGESIM_TENANCY")) {
-    std::string err;
-    TenancyOptions topt;
-    if (!ParseTenancyList(env, &topt, &err)) {
-      throw std::invalid_argument("bad MAGESIM_TENANCY: " + err);
-    }
-    options_.tenancy = std::move(topt);
-  }
+  // Multi-tenant memory control groups: a non-empty tenant list replaces the
+  // passed workload with a machine-built composite running one workload per
+  // tenant.
   if (options_.tenancy.enabled && !options_.tenancy.tenants.empty()) {
     std::string err;
     owned_workload_ = MultiTenantWorkload::Build(&options_.tenancy.tenants, &err);
@@ -95,24 +86,15 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   assert(reserved);
   (void)reserved;
 
-  // Memory-server fleet: env overrides, then construction. Node 0 is the
-  // machine's classic NIC/memnode pair; the fleet owns servers 1..N-1.
-  if (const char* env = std::getenv("MAGESIM_FLEET_NODES")) {
-    options_.fleet.num_nodes = std::atoi(env);
-  }
-  if (const char* env = std::getenv("MAGESIM_FLEET_REPLICAS")) {
-    options_.fleet.replication = std::atoi(env);
-  }
-  if (const char* env = std::getenv("MAGESIM_FLEET_REBUILD_GBPS")) {
-    options_.fleet.rebuild_gbps = std::atof(env);
-  }
+  // Memory-server fleet. Node 0 is the machine's classic NIC/memnode pair;
+  // the fleet owns servers 1..N-1.
   if (options_.fleet.num_nodes > 1) {
     FleetManager::Options fo;
     fo.num_nodes = std::min(options_.fleet.num_nodes, 16);
     fo.replication = options_.fleet.replication;
     fo.vnodes_per_node = options_.fleet.vnodes_per_node;
     fo.seed = options_.seed;
-    fleet_ = std::make_unique<FleetManager>(*nic_, *memnode_, options_.hw, fo);
+    fleet_ = std::make_unique<FleetManager>(*nic_, *memnode_, *options_.hw, fo);
     // The fleet data path (slot routing, per-server breakers) lives in the
     // resilience layer.
     options_.resilience_enabled = true;
@@ -126,9 +108,6 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
                                      tenancy_.get());
 
   // Deterministic fault injection + resilient data path.
-  if (const char* env = std::getenv("MAGESIM_FAULT_PLAN")) {
-    options_.fault_plan = env;
-  }
   std::string plan_text = LoadFaultPlanText(options_.fault_plan);
   if (!plan_text.empty()) {
     std::string err;
@@ -160,9 +139,8 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     resilience_ = std::make_unique<ResilienceManager>(*nic_, ro);
     if (fleet_ != nullptr) {
       resilience_->SetFleet(fleet_.get());
-      RebuildOptions rbo;
-      rbo.rebuild_gbps = options_.fleet.rebuild_gbps;
-      rebuild_ = std::make_unique<RebuildDriver>(*fleet_, rbo);
+      rebuild_ = std::make_unique<RebuildDriver>(
+          *fleet_, RebuildOptions{.rebuild_gbps = options_.fleet.rebuild_gbps});
     }
     kernel_->SetResilience(resilience_.get());
   }
@@ -189,12 +167,6 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   }
   kernel_->Prepopulate(resident);
 
-  // Env override lets any existing harness run checked without code changes.
-  if (const char* env = std::getenv("MAGESIM_CHECK_INTERVAL_US")) {
-    long us = std::atol(env);
-    if (us > 0) options_.check_interval = static_cast<SimTime>(us) * kMicrosecond;
-    options_.check_final = true;
-  }
   if (options_.check_interval > 0 || options_.check_final) {
     trace_ring_ = std::make_unique<TraceRingBuffer>(4096);
     if (Tracer::Get() != nullptr) {
@@ -204,69 +176,20 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
         *kernel_, Tracer::Get() != nullptr ? trace_ring_.get() : nullptr);
   }
 
-  // MAGESIM_ANALYSIS force-enables the lock-discipline analyzer ("0"
-  // disables it, overriding an analysis-build default).
-  if (const char* env = std::getenv("MAGESIM_ANALYSIS")) {
-    options_.analysis.enabled = env[0] != '0';
-  }
   if (options_.analysis.enabled) {
-    AnalysisOptions ao;
-    ao.abort_on_violation = options_.analysis.abort_on_violation;
-    analyzer_ = std::make_unique<LockAnalyzer>(ao);
+    analyzer_ = std::make_unique<LockAnalyzer>(
+        AnalysisOptions{.abort_on_violation = options_.analysis.abort_on_violation});
     analyzer_->Install();  // uninstalled by ~LockAnalyzer
   }
 
-  // Each MAGESIM_METRICS_* override force-enables the metrics subsystem.
-  auto& mo = options_.metrics;
-  if (const char* env = std::getenv("MAGESIM_METRICS_OUT")) {
-    mo.report_path = env;
-    mo.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_METRICS_CSV")) {
-    mo.csv_path = env;
-    mo.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_METRICS_PROM")) {
-    mo.prom_path = env;
-    mo.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_METRICS_SAMPLE_INTERVAL_US")) {
-    long us = std::atol(env);
-    if (us > 0) mo.sample_interval = static_cast<SimTime>(us) * kMicrosecond;
-    mo.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_METRICS_PROGRESS")) {
-    mo.progress = env[0] != '0';
-    mo.enabled = true;
-  }
-  // Each MAGESIM_SPANS* override force-enables span tracing.
-  auto& so = options_.spans;
-  if (const char* env = std::getenv("MAGESIM_SPANS")) {
-    so.enabled = env[0] != '0';
-  }
-  if (const char* env = std::getenv("MAGESIM_SPANS_OUT")) {
-    so.out_path = env;
-    so.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_SPANS_TOP_K")) {
-    long k = std::atol(env);
-    if (k >= 0) so.top_k = static_cast<int>(k);
-    so.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_SPANS_SAMPLE")) {
-    long n = std::atol(env);
-    if (n >= 1) so.sample_every = static_cast<int>(n);
-    so.enabled = true;
-  }
+  const auto& so = options_.spans;
   if (so.enabled) {
-    SpanTracer::Options sto;
-    sto.out_path = so.out_path;
-    sto.top_k = so.top_k;
-    sto.sample_every = so.sample_every;
-    spans_ = std::make_unique<SpanTracer>(sto);
+    spans_ = std::make_unique<SpanTracer>(SpanTracer::Options{
+        .out_path = so.out_path, .top_k = so.top_k, .sample_every = so.sample_every});
     spans_->Install();  // uninstalled by ~SpanTracer
   }
 
+  auto& mo = options_.metrics;
   if (mo.enabled) {
     if (mo.sample_interval <= 0) mo.sample_interval = kMillisecond;
     metrics_ = std::make_unique<MetricsRegistry>();

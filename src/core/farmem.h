@@ -9,10 +9,14 @@
 //   FarMemoryMachine m(opt, wl);
 //   RunResult r = m.Run();
 //   std::cout << r.ops_per_sec << "\n";
+//
+// A machine is determined by its Options alone; the library reads no
+// environment (see ApplyEnvOverrides in src/core/option_table.h).
 #ifndef MAGESIM_CORE_FARMEM_H_
 #define MAGESIM_CORE_FARMEM_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,8 +39,8 @@
 
 namespace magesim {
 
-// Per-tenant slice of a multi-tenant run (empty unless Options::tenancy /
-// MAGESIM_TENANCY attached memory control groups).
+// Per-tenant slice of a multi-tenant run (empty unless Options::tenancy
+// attached memory control groups).
 struct TenantRunResult {
   std::string name;
   QosClass qos = QosClass::kNormal;
@@ -98,8 +102,7 @@ struct RunResult {
   uint64_t invariant_violations = 0;
   std::string first_violation;  // empty when clean
 
-  // Lock-discipline analysis (when Options::analysis / MAGESIM_ANALYSIS
-  // enabled; zero otherwise).
+  // Lock-discipline analysis (when Options::analysis enabled; zero otherwise).
   uint64_t analysis_locks = 0;        // lock instances seen
   uint64_t analysis_order_edges = 0;  // acquisition-order digraph edges
   uint64_t analysis_violations = 0;
@@ -134,14 +137,16 @@ struct RunResult {
 
 class FarMemoryMachine {
  public:
+  // Every field has a default member initializer, so callers may build one
+  // with designated initializers: {.kernel = MageLibConfig(), .seed = 7}.
   struct Options {
-    KernelConfig kernel;
+    KernelConfig kernel{};
     // Fraction of the working set kept in local DRAM; (1 - ratio) is the
     // paper's "X% far memory".
     double local_mem_ratio = 1.0;
-    // Hardware preset; kernel.virtualized selects VM-exit costs by default.
-    MachineParams hw = MachineParams{};
-    bool hw_overridden = false;
+    // Hardware preset; unset selects VirtualizedParams() or BareMetalParams()
+    // by kernel.virtualized.
+    std::optional<MachineParams> hw{};
     uint64_t seed = 1;
     // Hard stop (simulated time); 0 = run until the workload completes.
     SimTime time_limit = 0;
@@ -150,36 +155,26 @@ class FarMemoryMachine {
     // measurement for open-ended workloads.
     SimTime stats_warmup = 0;
     // Run the invariant checker every `check_interval` ns of simulated time
-    // (0 = no periodic checks). The MAGESIM_CHECK_INTERVAL_US environment
-    // variable, when set, overrides this — so every existing harness can be
-    // re-run checked without code changes.
+    // (0 = no periodic checks).
     SimTime check_interval = 0;
     // Run one final check after the simulation drains.
     bool check_final = false;
     // Unified observability (src/metrics): registry + profiler + sampler.
-    // Each MAGESIM_METRICS_* environment override also force-enables the
-    // subsystem, so any existing harness can emit a run-report unchanged:
-    //   MAGESIM_METRICS_OUT=report.json   JSON run-report path
-    //   MAGESIM_METRICS_CSV=series.csv    sampler time-series CSV path
-    //   MAGESIM_METRICS_PROM=metrics.txt  Prometheus text exposition path
-    //   MAGESIM_METRICS_SAMPLE_INTERVAL_US=500   sampling period
-    //   MAGESIM_METRICS_PROGRESS=1        per-sample stderr progress line
+    // Setting any of these fields through the option table also enables the
+    // subsystem.
     struct MetricsOptions {
       bool enabled = false;
       // 0 = 1 ms default when enabled.
       SimTime sample_interval = 0;
-      std::string report_path;  // JSON run-report ("" = don't write)
-      std::string csv_path;     // time-series CSV
-      std::string prom_path;    // Prometheus text exposition
+      std::string report_path{};  // JSON run-report ("" = don't write)
+      std::string csv_path{};     // time-series CSV
+      std::string prom_path{};    // Prometheus text exposition
       bool progress = false;
     };
-    MetricsOptions metrics;
+    MetricsOptions metrics{};
 
     // Causal span tracing with critical-path tail attribution (src/spans).
-    // Each MAGESIM_SPANS* environment override also force-enables it:
-    //   MAGESIM_SPANS=1                   enable ("0" disables)
-    //   MAGESIM_SPANS_OUT=spans.jsonl     JSONL span export path
-    //   MAGESIM_SPANS_TOP_K=16            slowest exemplars per op kind
+    // Setting any of these fields through the option table also enables it.
     // Enabling spans adds a `tail` section to the JSON run-report and
     // spans.* counters to the registry; with spans disabled every golden
     // and benchmark is byte-identical to a build without the subsystem.
@@ -192,13 +187,12 @@ class FarMemoryMachine {
       // the ≤5% faults/sec budget; set 1 for full fidelity (tests, goldens).
       int sample_every = 32;
     };
-    SpansOptions spans;
+    SpansOptions spans{};
 
     // Simulated-time lock-discipline analysis (src/analysis): ownership,
     // guarded-state, lock-order and held-across-await checking on every sim
-    // lock. The MAGESIM_ANALYSIS environment variable force-enables it ("0"
-    // disables), and building with -DMAGESIM_ANALYSIS=ON flips the
-    // compile-time default so the whole test suite runs analyzed.
+    // lock. Building with -DMAGESIM_ANALYSIS=ON flips the compile-time
+    // default so the whole test suite runs analyzed.
     struct AnalysisConfig {
 #ifdef MAGESIM_ANALYSIS_DEFAULT_ON
       bool enabled = true;
@@ -209,44 +203,39 @@ class FarMemoryMachine {
       // posture). When false, violations are recorded into RunResult instead.
       bool abort_on_violation = true;
     };
-    AnalysisConfig analysis;
+    AnalysisConfig analysis{};
 
     // Deterministic fault injection: a FaultPlan spec/JSON string, or
-    // "@path" to load one from a file. The MAGESIM_FAULT_PLAN environment
-    // variable overrides this. Parse errors throw std::invalid_argument from
-    // the constructor. A non-empty plan also enables the resilient data path.
-    std::string fault_plan;
+    // "@path" to load one from a file. Parse errors throw
+    // std::invalid_argument from the constructor. A non-empty plan also enables the resilient data path.
+    std::string fault_plan{};
     // Attach the resilient data path (deadlines/retries/breakers) even with
     // no fault plan — e.g. to measure its healthy-path overhead.
     bool resilience_enabled = false;
     // Retry/breaker/terminal-policy tuning. `resilience.seed == 0` derives a
     // stream from Options::seed.
-    ResilienceOptions resilience;
+    ResilienceOptions resilience{};
 
     // Memory-server fleet: shard the far side over `num_nodes` servers with
     // `replication`-way replicated slots and a background rebuild driver.
     // num_nodes > 1 force-enables the resilient data path (fleet routing
     // lives there); num_nodes == 1 (default) is the classic single-node
     // machine, byte-identical to builds without the fleet subsystem.
-    // Environment overrides: MAGESIM_FLEET_NODES, MAGESIM_FLEET_REPLICAS,
-    // MAGESIM_FLEET_REBUILD_GBPS.
     struct FleetConfig {
       int num_nodes = 1;       // clamped to [1, 16]
       int replication = 2;     // clamped to [1, min(num_nodes, kMaxReplicas)]
       int vnodes_per_node = 64;
       double rebuild_gbps = 10.0;  // background re-replication pacing
     };
-    FleetConfig fleet;
+    FleetConfig fleet{};
 
     // Multi-tenant memory control groups. When enabled with a non-empty
     // tenant list, the machine *replaces* the workload passed to the
     // constructor with a MultiTenantWorkload built from the specs, attaches
     // a TenancyManager to the kernel (per-tenant accounting, QoS-aware
     // victim selection, hard-limit admission, balance controller), and fills
-    // RunResult::tenants. The MAGESIM_TENANCY environment variable
-    // (';'-separated spec list, see src/tenancy/tenant_spec.h) overrides
-    // this, so any existing harness can be run multi-tenant unchanged.
-    TenancyOptions tenancy;
+    // RunResult::tenants.
+    TenancyOptions tenancy{};
   };
 
   FarMemoryMachine(Options options, Workload& workload);
@@ -262,23 +251,23 @@ class FarMemoryMachine {
   // With tenancy attached this is the machine-built MultiTenantWorkload, not
   // the workload passed to the constructor.
   Workload& workload() { return *workload_; }
-  // Null unless tenancy was enabled via Options or MAGESIM_TENANCY.
+  // Null unless Options::tenancy attached tenants.
   TenancyManager* tenancy() { return tenancy_.get(); }
   const std::vector<std::unique_ptr<AppThread>>& threads() const { return threads_; }
-  // Null unless checking was enabled via Options or MAGESIM_CHECK_INTERVAL_US.
+  // Null unless Options::check_interval / check_final enabled checking.
   InvariantChecker* checker() { return checker_.get(); }
-  // Null unless analysis was enabled via Options or MAGESIM_ANALYSIS.
+  // Null unless Options::analysis enabled the analyzer.
   LockAnalyzer* analyzer() { return analyzer_.get(); }
   // Null unless a fault plan / resilience_enabled was set.
   ResilienceManager* resilience() { return resilience_.get(); }
   FaultInjector* injector() { return injector_.get(); }
   MemoryNode& memnode() { return *memnode_; }
-  // Null unless Options::fleet.num_nodes > 1 (or the env overrides said so).
+  // Null unless Options::fleet.num_nodes > 1.
   FleetManager* fleet() { return fleet_.get(); }
   RebuildDriver* rebuild() { return rebuild_.get(); }
-  // Null unless metrics were enabled via Options or MAGESIM_METRICS_*.
+  // Null unless Options::metrics enabled the subsystem.
   MetricsRegistry* metrics() { return metrics_.get(); }
-  // Null unless spans were enabled via Options or MAGESIM_SPANS*.
+  // Null unless Options::spans enabled span tracing.
   SpanTracer* spans() { return spans_.get(); }
   SimProfiler* profiler() { return profiler_.get(); }
   MetricsSampler* sampler() { return sampler_.get(); }

@@ -1,5 +1,8 @@
 #include "src/fleet/fleet.h"
 
+#include <cassert>
+
+#include "src/mem/page_table.h"
 #include "src/trace/trace.h"
 
 namespace magesim {
@@ -29,6 +32,7 @@ void FleetManager::SetFaultModelAll(HwFaultModel* model) {
 }
 
 void FleetManager::EnsureSlot(uint64_t slot) {
+  assert(slot != kNoSwapSlot && "route slots through Kernel::FleetSlotOf");
   if (slot >= copies_.size()) {
     copies_.resize(slot + 1, 0);
     lost_.resize(slot + 1, 0);

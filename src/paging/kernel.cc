@@ -506,7 +506,9 @@ MAGESIM_HOT_PATH std::vector<uint64_t> Kernel::CollectWritebackSlots(const std::
   slots.reserve(victims.size());
   for (PageFrame* f : victims) {
     uint64_t vpn = f->vpn;  // Unmap preserved frame->vpn for writeback routing
-    uint64_t slot = swap_ != nullptr ? pt_->At(vpn).swap_slot : vpn;
+    // A victim that faulted back in while its batch was suspended has lost
+    // its swap slot; FleetSlotOf then routes it by vpn.
+    uint64_t slot = FleetSlotOf(vpn);
     if (f->dirty || !remote_valid_[vpn] || !fleet->HasLiveCopy(slot)) {
       // magesim-lint: allow(hotpath-alloc): within the capacity reserved above.
       slots.push_back(slot);

@@ -128,8 +128,9 @@ class Kernel {
   void SetResilience(ResilienceManager* r) { resilience_ = r; }
   ResilienceManager* resilience() { return resilience_; }
 
-  // The fleet routing slot for a remote read of `vpn` (identity under direct
-  // mapping), or the no-fleet sentinel when no fleet is attached.
+  // The fleet routing slot for a remote read or writeback of `vpn`: its swap
+  // slot, or the vpn itself under direct mapping or while it holds no swap
+  // slot; the no-fleet sentinel when no fleet is attached.
   uint64_t FleetSlotOf(uint64_t vpn) const;
   // Null unless the machine attached memory control groups.
   TenancyManager* tenancy() { return tenancy_; }

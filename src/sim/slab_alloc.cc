@@ -1,7 +1,6 @@
 #include "src/sim/slab_alloc.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <new>
 
 #include "src/sim/prof_counters.h"
@@ -31,34 +30,16 @@ struct State {
   char* bump = nullptr;
   char* bump_end = nullptr;
   SlabStats stats;
-  // Tri-state so the env lookup stays off the hot path without a
-  // function-local static (whose thread-safe guard showed up in profiles at
-  // millions of calls per run): -1 = not yet consulted.
-  int enabled = -1;
+#ifdef MAGESIM_SLAB_DEFAULT_OFF
+  bool enabled = false;
+#else
+  bool enabled = true;
+#endif
 };
 
-// constinit: zero-initialized before any code runs, so allocations during
-// static initialization of other TUs are safe.
+// constinit: initialized before any code runs, so allocations during static
+// initialization of other TUs are safe.
 constinit State g_state;
-
-void InitEnabled(State& s) {
-#ifdef MAGESIM_SLAB_DEFAULT_OFF
-  s.enabled = 0;
-#else
-  s.enabled = 1;
-#endif
-  if (const char* e = std::getenv("MAGESIM_SLAB")) {
-    s.enabled = !(e[0] == '0' && e[1] == '\0') ? 1 : 0;
-  }
-}
-
-State& S() {
-  State& s = g_state;
-  if (s.enabled < 0) [[unlikely]] {
-    InitEnabled(s);
-  }
-  return s;
-}
 
 // Rounds a gross size (user + header) up to its size class; kNumClasses for
 // oversize requests.
@@ -84,7 +65,7 @@ void* CarveFromChunk(State& s, size_t bytes) {
 
 void* SlabAllocator::Allocate(size_t n) {
   MAGESIM_PROF_SCOPE(slab_alloc);
-  State& s = S();
+  State& s = g_state;
   ++s.stats.allocs;
   size_t gross = n + sizeof(Header);
   if (s.enabled && gross <= kMaxSlabBytes) {
@@ -111,7 +92,7 @@ void* SlabAllocator::Allocate(size_t n) {
 void SlabAllocator::Deallocate(void* p) {
   MAGESIM_PROF_SCOPE(slab_free);
   if (p == nullptr) return;
-  State& s = S();
+  State& s = g_state;
   ++s.stats.frees;
   Header* h = static_cast<Header*>(p) - 1;
   assert(h->magic == kMagic && "freed block not from SlabAllocator");
@@ -124,9 +105,9 @@ void SlabAllocator::Deallocate(void* p) {
   s.free_list[h->cls] = f;
 }
 
-bool SlabAllocator::enabled() { return S().enabled; }
-void SlabAllocator::set_enabled(bool on) { S().enabled = on; }
-const SlabStats& SlabAllocator::stats() { return S().stats; }
-void SlabAllocator::ResetStats() { S().stats = SlabStats{}; }
+bool SlabAllocator::enabled() { return g_state.enabled; }
+void SlabAllocator::set_enabled(bool on) { g_state.enabled = on; }
+const SlabStats& SlabAllocator::stats() { return g_state.stats; }
+void SlabAllocator::ResetStats() { g_state.stats = SlabStats{}; }
 
 }  // namespace magesim

@@ -12,18 +12,16 @@
 // Every block carries a 16-byte header recording which size class (or the
 // heap fallback) it came from, so Deallocate routes correctly even if the
 // enabled flag is flipped between an allocation and its free — which is
-// exactly what the allocator-equivalence tests and the MAGESIM_SLAB=0
-// kill-switch do.
+// exactly what the allocator-equivalence tests do.
 //
 // Determinism: the allocator affects only *where* frames live, never the
 // order in which events run; golden traces are byte-identical with it on or
 // off (tests/trace/allocator_equivalence_test.cc pins this).
 //
-// Toggles:
-//   MAGESIM_SLAB=0        runtime kill-switch (pass through to operator new)
-//   MAGESIM_SLAB_DEFAULT_OFF  compile-time default-off; set by the sanitizer
-//       presets so ASan keeps seeing every coroutine-frame free (a recycling
-//       slab would otherwise hide use-after-free of parked frames).
+// Toggle: MAGESIM_SLAB_DEFAULT_OFF compiles the allocator default-off (pass
+// through to operator new); the sanitizer presets set it so ASan keeps
+// seeing every coroutine-frame free (a recycling slab would otherwise hide
+// use-after-free of parked frames).
 //
 // Single-threaded by design, like the Engine it serves.
 #ifndef MAGESIM_SIM_SLAB_ALLOC_H_
@@ -55,8 +53,8 @@ class SlabAllocator {
   static void* Allocate(size_t n);
   static void Deallocate(void* p);
 
-  // Whether *new* allocations are served from slabs. Initialized from
-  // MAGESIM_SLAB / MAGESIM_SLAB_DEFAULT_OFF on first use.
+  // Whether *new* allocations are served from slabs. Starts on unless built
+  // with MAGESIM_SLAB_DEFAULT_OFF.
   static bool enabled();
   // Test hook: reroutes future allocations; outstanding blocks are still
   // freed to wherever they came from (the header remembers).

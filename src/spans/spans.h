@@ -481,18 +481,6 @@ inline uint64_t SpanLeafUnder(SpanHandle parent, SpanKind k, SimTime t0, SimTime
   return st != nullptr ? st->LeafUnder(parent, k, t0, t1, actor, page, link, arg) : 0;
 }
 
-inline void SpanPushContext(SpanHandle h) {
-  if (SpanTracer* st = SpanTracer::Get(); st != nullptr && h.rec != nullptr) {
-    st->PushContext(h);
-  }
-}
-
-inline void SpanPopContext(SpanHandle h) {
-  if (SpanTracer* st = SpanTracer::Get(); st != nullptr && h.rec != nullptr) {
-    st->PopContext();
-  }
-}
-
 }  // namespace magesim
 
 #endif  // MAGESIM_SPANS_SPANS_H_

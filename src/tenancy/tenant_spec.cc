@@ -62,6 +62,15 @@ bool ParseQosClass(const std::string& s, QosClass* out) {
   return true;
 }
 
+bool ParseWorkloadOpts(const std::string& s, std::map<std::string, std::string>* out) {
+  for (const std::string& kv : Split(s, ',')) {
+    size_t eq = kv.find('=');
+    if (eq == std::string::npos || eq == 0) return false;
+    (*out)[kv.substr(0, eq)] = kv.substr(eq + 1);
+  }
+  return true;
+}
+
 bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err) {
   size_t eq = s.find('=');
   if (eq == std::string::npos) {
@@ -98,8 +107,9 @@ bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err) {
   }
 
   // Workload part: name[/threads][,k=v...]
-  std::vector<std::string> wparts = Split(s.substr(eq + 1), ',');
-  std::string wname = wparts[0];
+  std::string wpart = s.substr(eq + 1);
+  size_t comma = wpart.find(',');
+  std::string wname = wpart.substr(0, comma);
   size_t slash = wname.find('/');
   if (slash != std::string::npos) {
     int th = std::atoi(wname.c_str() + slash + 1);
@@ -115,13 +125,10 @@ bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err) {
     return false;
   }
   t.workload = wname;
-  for (size_t i = 1; i < wparts.size(); ++i) {
-    size_t kv = wparts[i].find('=');
-    if (kv == std::string::npos || kv == 0) {
-      *err = "tenant '" + t.name + "': bad workload option '" + wparts[i] + "'";
-      return false;
-    }
-    t.workload_opts[wparts[i].substr(0, kv)] = wparts[i].substr(kv + 1);
+  if (comma != std::string::npos &&
+      !ParseWorkloadOpts(wpart.substr(comma + 1), &t.workload_opts)) {
+    *err = "tenant '" + t.name + "': bad workload options '" + wpart.substr(comma + 1) + "'";
+    return false;
   }
   *out = std::move(t);
   return true;

@@ -72,6 +72,11 @@ struct TenancyOptions {
 // spec. Returns false (with a message in *err) on malformed input.
 bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err);
 
+// Parses "key=val,key=val" (the workload-option grammar of tenant specs and
+// magesim_cli --workload-opts) into *out; false on an entry without a key or
+// '=' (including an empty list).
+bool ParseWorkloadOpts(const std::string& s, std::map<std::string, std::string>* out);
+
 // Parses a ';'-separated spec list (the MAGESIM_TENANCY format) into
 // `out->tenants` and sets `out->enabled`. Validates name uniqueness.
 bool ParseTenancyList(const std::string& s, TenancyOptions* out, std::string* err);

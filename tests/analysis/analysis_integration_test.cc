@@ -7,8 +7,10 @@
 
 #include "src/analysis/lock_analyzer.h"
 #include "src/core/farmem.h"
+#include "src/core/option_table.h"
 #include "src/sim/sync.h"
 #include "src/workloads/seqscan.h"
+#include "tests/scoped_env.h"
 
 namespace magesim {
 namespace {
@@ -77,25 +79,31 @@ TEST(AnalysisIntegrationTest, CheckerReportsHeldLockAtQuiescence) {
 }
 
 TEST(AnalysisIntegrationTest, EnvVarForceEnablesAnalyzer) {
-  setenv("MAGESIM_ANALYSIS", "1", 1);
-  SeqScanWorkload wl(
-      SeqScanWorkload::Options{.region_pages = 256, .threads = 1, .passes = 1});
   FarMemoryMachine::Options opt;
   opt.kernel = MageLibConfig();
   opt.local_mem_ratio = 0.6;
   opt.seed = 1;
   {
-    FarMemoryMachine m(opt, wl);
+    ScopedEnv env({{"MAGESIM_ANALYSIS", "1"}});
+    FarMemoryMachine::Options on = opt;
+    on.analysis.enabled = false;
+    ApplyEnvOverrides(&on);
+    SeqScanWorkload wl(
+        SeqScanWorkload::Options{.region_pages = 256, .threads = 1, .passes = 1});
+    FarMemoryMachine m(on, wl);
     EXPECT_NE(m.analyzer(), nullptr);
   }
-  setenv("MAGESIM_ANALYSIS", "0", 1);
-  SeqScanWorkload wl2(
-      SeqScanWorkload::Options{.region_pages = 256, .threads = 1, .passes = 1});
   {
-    FarMemoryMachine m(opt, wl2);
+    // "0" disables, overriding an enabled (e.g. analysis-build) default.
+    ScopedEnv env({{"MAGESIM_ANALYSIS", "0"}});
+    FarMemoryMachine::Options off = opt;
+    off.analysis.enabled = true;
+    ApplyEnvOverrides(&off);
+    SeqScanWorkload wl(
+        SeqScanWorkload::Options{.region_pages = 256, .threads = 1, .passes = 1});
+    FarMemoryMachine m(off, wl);
     EXPECT_EQ(m.analyzer(), nullptr);
   }
-  unsetenv("MAGESIM_ANALYSIS");
 }
 
 }  // namespace

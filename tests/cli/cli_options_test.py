@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""magesim_cli option handling, end to end.
+
+Malformed values, unknown flags and stray arguments exit with status 2 and an
+error naming the offender; a MAGESIM_* variable overrides its flag; a flag and
+its variable produce the same output; repeated --tenant flags accumulate.
+
+usage: cli_options_test.py path/to/magesim_cli
+"""
+import os
+import subprocess
+import sys
+
+CLI = sys.argv[1]
+BASE = ["--workload=seqscan", "--threads=2", "--workload-opts=pages=512,passes=2", "--far=40"]
+TENANT = "{}:1:0.5:normal=seqscan/2,pages=256,passes=1"
+
+
+def run(args, env=None):
+    clean = {k: v for k, v in os.environ.items() if not k.startswith("MAGESIM_")}
+    clean.update(env or {})
+    return subprocess.run([CLI] + args, env=clean, capture_output=True, text=True,
+                          timeout=120)
+
+
+failures = []
+
+
+def check(cond, what, proc=None):
+    if not cond:
+        detail = "" if proc is None else f"\n  exit={proc.returncode}\n  stderr={proc.stderr.strip()[:400]}"
+        failures.append(what + detail)
+
+
+BAD_FLAGS = [
+    ("--seed=abc", "--seed"),
+    ("--seed=-3", "--seed"),
+    ("--seed", "--seed"),
+    ("--threads=x", "--threads"),
+    ("--threads=0", "--threads"),
+    ("--far=abc", "--far"),
+    ("--far=100", "--far"),
+    ("--fleet-nodes=two", "--fleet-nodes"),
+    ("--fleet-rebuild-gbps=fast", "--fleet-rebuild-gbps"),
+    ("--spans-top-k=8x", "--spans-top-k"),
+    ("--spans-sample=0", "--spans-sample"),
+    ("--check-interval=abc", "--check-interval"),
+    ("--check=2", "--check"),
+    ("--terminal=crash", "--terminal"),
+    ("--tenant=not-a-spec", "--tenant"),
+    ("--span-out=x.jsonl", "--span-out"),
+    ("stray", "stray"),
+]
+for arg, name in BAD_FLAGS:
+    p = run(BASE + [arg])
+    check(p.returncode == 2 and name in p.stderr, f"{arg}: want exit 2 naming {name}", p)
+
+BAD_ENV = [
+    ("MAGESIM_FLEET_NODES", "two"),
+    ("MAGESIM_SPANS_TOP_K", "8x"),
+    ("MAGESIM_CHECK_INTERVAL_US", "abc"),
+    ("MAGESIM_TENANCY", "x"),
+]
+for name, value in BAD_ENV:
+    p = run(BASE, {name: value})
+    check(p.returncode == 2 and name in p.stderr, f"{name}={value}: want exit 2 naming it", p)
+
+p = run([])
+check(p.returncode == 2 and "--spans-sample=N" in p.stderr and "default 32" in p.stderr,
+      "usage lists --spans-sample with its real default", p)
+
+p = run(BASE)
+check(p.returncode == 0 and p.stdout.startswith("workload=seqscan"), "plain run", p)
+
+# The environment wins over the flag.
+p = run(BASE + ["--fleet-nodes=2"], {"MAGESIM_FLEET_NODES": "3"})
+check(p.returncode == 0 and "nodes 3 x2" in p.stdout, "MAGESIM_FLEET_NODES overrides the flag", p)
+
+# A flag and its variable give the same run.
+for flag, name, value in [("check-interval", "MAGESIM_CHECK_INTERVAL_US", "50"),
+                          ("fleet-nodes", "MAGESIM_FLEET_NODES", "2"),
+                          ("spans-sample", "MAGESIM_SPANS_SAMPLE", "1"),
+                          ("analysis", "MAGESIM_ANALYSIS", "1")]:
+    by_flag = run(BASE + [f"--{flag}={value}"])
+    by_env = run(BASE, {name: value})
+    check(by_flag.returncode == 0 and by_flag.stdout == by_env.stdout,
+          f"--{flag}={value} and {name}={value} print the same", by_env)
+
+p = run(["--tenant=" + TENANT.format("a"), "--tenant=" + TENANT.format("b")])
+check(p.returncode == 0 and "tenant a " in p.stdout and "tenant b " in p.stdout,
+      "repeated --tenant flags accumulate", p)
+
+for f in failures:
+    print("FAIL:", f)
+print(f"{len(failures)} failure(s)")
+sys.exit(1 if failures else 0)

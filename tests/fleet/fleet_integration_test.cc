@@ -9,6 +9,7 @@
 
 #include "src/core/farmem.h"
 #include "src/workloads/gups.h"
+#include "src/workloads/seqscan.h"
 
 namespace magesim {
 namespace {
@@ -49,6 +50,32 @@ TEST(FleetIntegrationTest, HealthyFleetRunsCleanWithNoDegradedReads) {
   EXPECT_EQ(r.fleet_rebuild_pending, 0u);
   EXPECT_EQ(r.invariant_violations, 0u);
   EXPECT_FALSE(r.aborted);
+}
+
+// Every system variant on a 2-server fleet. Under the slot-based variants
+// (Hermit) a victim can fault back in while its eviction batch waits on the
+// shootdown, which frees its swap slot; the batch's writeback must still go
+// to a real fleet slot.
+TEST(FleetIntegrationTest, EverySystemVariantRunsCleanOnTwoNodeFleet) {
+  for (const KernelConfig& cfg : AllSystemConfigs()) {
+    SCOPED_TRACE(cfg.name);
+    SeqScanWorkload wl({.region_pages = 4096, .threads = 8, .passes = 2});
+    FarMemoryMachine::Options opt;
+    opt.kernel = cfg;
+    opt.local_mem_ratio = 0.6;
+    opt.check_final = true;
+    opt.time_limit = 5 * kSecond;
+    opt.fleet.num_nodes = 2;
+    FarMemoryMachine m(opt, wl);
+    RunResult r = m.Run();
+    EXPECT_EQ(r.fleet_nodes, 2u);
+    EXPECT_GT(r.total_ops, 0u);
+    EXPECT_LT(r.sim_seconds, 5.0);  // the workload finished, not the limit
+    EXPECT_EQ(r.invariant_checks, 1u);
+    EXPECT_EQ(r.invariant_violations, 0u) << r.first_violation;
+    EXPECT_EQ(r.fleet_silent_losses, 0u);
+    EXPECT_FALSE(r.aborted);
+  }
 }
 
 TEST(FleetIntegrationTest, KillOneOfFourDegradedReadsThenRebuildConverges) {

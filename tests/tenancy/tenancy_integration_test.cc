@@ -1,16 +1,17 @@
-// End-to-end wiring tests: the MAGESIM_TENANCY environment override, the
+// End-to-end wiring tests: the MAGESIM_TENANCY environment overlay, the
 // detached (single-tenant) default, tenancy trace events, and the per-tenant
 // sections of the metrics registry and JSON run-report.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "src/core/farmem.h"
+#include "src/core/option_table.h"
 #include "src/metrics/metrics.h"
 #include "src/metrics/run_report.h"
 #include "src/trace/trace.h"
 #include "src/workloads/seqscan.h"
+#include "tests/scoped_env.h"
 
 namespace magesim {
 namespace {
@@ -33,17 +34,17 @@ TEST(TenancyIntegrationTest, DetachedByDefault) {
 }
 
 TEST(TenancyIntegrationTest, EnvVarAttachesTenancy) {
-  ASSERT_EQ(setenv("MAGESIM_TENANCY",
-                   "a:1:0.4:latency=seqscan/2,pages=1024,passes=1;"
-                   "b:1:0.6:batch=seqscan/2,pages=1024,passes=1",
-                   1),
-            0);
-  SeqScanWorkload wl = SmallScan();
   FarMemoryMachine::Options opt;
   opt.kernel = MageLibConfig();
   opt.local_mem_ratio = 0.5;
+  {
+    ScopedEnv env({{"MAGESIM_TENANCY",
+                    "a:1:0.4:latency=seqscan/2,pages=1024,passes=1;"
+                    "b:1:0.6:batch=seqscan/2,pages=1024,passes=1"}});
+    ApplyEnvOverrides(&opt);
+  }
+  SeqScanWorkload wl = SmallScan();
   FarMemoryMachine m(opt, wl);
-  unsetenv("MAGESIM_TENANCY");
 
   ASSERT_NE(m.tenancy(), nullptr);
   EXPECT_EQ(m.tenancy()->num_tenants(), 2);
@@ -60,12 +61,10 @@ TEST(TenancyIntegrationTest, EnvVarAttachesTenancy) {
 }
 
 TEST(TenancyIntegrationTest, BadEnvSpecThrows) {
-  ASSERT_EQ(setenv("MAGESIM_TENANCY", "not-a-spec", 1), 0);
-  SeqScanWorkload wl = SmallScan();
+  ScopedEnv env({{"MAGESIM_TENANCY", "not-a-spec"}});
   FarMemoryMachine::Options opt;
   opt.kernel = MageLibConfig();
-  EXPECT_THROW(FarMemoryMachine(opt, wl), std::invalid_argument);
-  unsetenv("MAGESIM_TENANCY");
+  EXPECT_THROW(ApplyEnvOverrides(&opt), std::invalid_argument);
 }
 
 TEST(TenancyIntegrationTest, EmitsTenancyTraceEvents) {
