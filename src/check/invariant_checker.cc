@@ -290,7 +290,7 @@ size_t InvariantChecker::CheckFleetReplicas() {
   PageTable& pt = kernel_.page_table();
   for (uint64_t vpn = 0; vpn < pt.num_pages(); ++vpn) {
     if (pt.At(vpn).present) continue;
-    uint64_t slot = kernel_.FleetSlotOf(vpn);
+    uint64_t slot = pt.RemoteSlot(vpn);
     if (!fleet->HasLiveCopy(slot) && !fleet->IsLostReported(slot)) {
       Add(ViolationClass::kFleetReplica, vpn, kTraceNoFrame,
           Describe("vpn=%" PRIu64 " lives remotely in slot %" PRIu64

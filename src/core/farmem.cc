@@ -95,9 +95,10 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     fo.vnodes_per_node = options_.fleet.vnodes_per_node;
     fo.seed = options_.seed;
     fleet_ = std::make_unique<FleetManager>(*nic_, *memnode_, *options_.hw, fo);
-    // The fleet data path (slot routing, per-server breakers) lives in the
-    // resilience layer.
-    options_.resilience_enabled = true;
+    // The warmed-up remote copies (Kernel::Prepopulate) exist on their full
+    // desired replica set: slot = vpn at setup, under both slot-based and
+    // direct mapping.
+    for (uint64_t vpn = 0; vpn < wss; ++vpn) fleet_->PrepopulateSlot(vpn);
   }
   if (options_.tenancy.enabled && !options_.tenancy.tenants.empty()) {
     tenancy_ = std::make_unique<TenancyManager>(options_.tenancy, local_pages, wss,
@@ -131,9 +132,11 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
       nic_->SetFaultModel(injector_.get());
     }
     tlb_->SetFaultModel(injector_.get());
-    options_.resilience_enabled = true;
   }
-  if (options_.resilience_enabled) {
+  // The resilient data path serves every machine that runs a fault plan or a
+  // fleet (whose slot routing and per-server breakers live there); the rest
+  // post to the bare NIC.
+  if (injector_ != nullptr || fleet_ != nullptr) {
     ResilienceOptions ro = options_.resilience;
     if (ro.seed == 0) ro.seed = options_.seed * 0x9e3779b97f4a7c15ULL + 1;
     resilience_ = std::make_unique<ResilienceManager>(*nic_, ro);

@@ -207,18 +207,17 @@ class FarMemoryMachine {
 
     // Deterministic fault injection: a FaultPlan spec/JSON string, or
     // "@path" to load one from a file. Parse errors throw
-    // std::invalid_argument from the constructor. A non-empty plan also enables the resilient data path.
+    // std::invalid_argument from the constructor. A non-empty plan also
+    // routes the kernel's remote reads and writebacks through the resilient
+    // data path.
     std::string fault_plan{};
-    // Attach the resilient data path (deadlines/retries/breakers) even with
-    // no fault plan — e.g. to measure its healthy-path overhead.
-    bool resilience_enabled = false;
     // Retry/breaker/terminal-policy tuning. `resilience.seed == 0` derives a
     // stream from Options::seed.
     ResilienceOptions resilience{};
 
     // Memory-server fleet: shard the far side over `num_nodes` servers with
     // `replication`-way replicated slots and a background rebuild driver.
-    // num_nodes > 1 force-enables the resilient data path (fleet routing
+    // num_nodes > 1 routes through the resilient data path (fleet routing
     // lives there); num_nodes == 1 (default) is the classic single-node
     // machine, byte-identical to builds without the fleet subsystem.
     struct FleetConfig {
@@ -258,7 +257,7 @@ class FarMemoryMachine {
   InvariantChecker* checker() { return checker_.get(); }
   // Null unless Options::analysis enabled the analyzer.
   LockAnalyzer* analyzer() { return analyzer_.get(); }
-  // Null unless a fault plan / resilience_enabled was set.
+  // Null unless a fault plan or a fleet attached the resilient data path.
   ResilienceManager* resilience() { return resilience_.get(); }
   FaultInjector* injector() { return injector_.get(); }
   MemoryNode& memnode() { return *memnode_; }

@@ -32,7 +32,7 @@ void FleetManager::SetFaultModelAll(HwFaultModel* model) {
 }
 
 void FleetManager::EnsureSlot(uint64_t slot) {
-  assert(slot != kNoSwapSlot && "route slots through Kernel::FleetSlotOf");
+  assert(slot != kNoSwapSlot && "route slots through PageTable::RemoteSlot");
   if (slot >= copies_.size()) {
     copies_.resize(slot + 1, 0);
     lost_.resize(slot + 1, 0);

@@ -44,6 +44,14 @@ class PageTable {
   Pte& At(uint64_t vpn) { return ptes_[vpn]; }
   const Pte& At(uint64_t vpn) const { return ptes_[vpn]; }
 
+  // Where the remote copy of `vpn` lives, as the resilient data path routes
+  // it: its swap slot, or the vpn itself under direct mapping or while it
+  // holds no swap slot (a victim that faulted back in mid-batch).
+  uint64_t RemoteSlot(uint64_t vpn) const {
+    uint64_t slot = ptes_[vpn].swap_slot;
+    return slot == kNoSwapSlot ? vpn : slot;
+  }
+
   // Installs a mapping (fault-in completion).
   void Map(uint64_t vpn, PageFrame* frame);
 

@@ -35,7 +35,7 @@ MAGESIM_HOT_PATH Task<> Kernel::SequentialEvictorMain(int evictor_id, CoreId cor
       }
       continue;
     }
-    if (resilience_ != nullptr && resilience_->write_degraded()) {
+    if (WriteDegraded()) {
       // Write channel is degraded: pause briefly instead of hammering the
       // open breaker; the next writeback acts as the half-open probe.
       co_await resilience_->EvictionBackpressure(evictor_id);

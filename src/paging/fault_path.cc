@@ -39,12 +39,8 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     TraceEmit(TraceEventType::kFrameAlloc, core, vpn, f->pfn);
     {
       StageScope stage(SpanKind::kRdmaRead, core, vpn, {}, totals);
-      if (resilience_ != nullptr) {
-        RemoteOpStatus st = co_await resilience_->ReadPage(core, vpn, /*allow_poison=*/true,
-                                                           {}, FleetSlotOf(vpn));
-        if (st == RemoteOpStatus::kPoisoned) ++stats_.pages_poisoned;
-      } else {
-        co_await nic_.Read(kPageSize);
+      if (co_await ReadRemote(core, vpn, /*demand=*/true, {}) == RemoteOpStatus::kPoisoned) {
+        ++stats_.pages_poisoned;
       }
     }
     pt_->Map(vpn, f);
@@ -141,22 +137,17 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
   assert(frame != nullptr);
   TraceEmit(TraceEventType::kFrameAlloc, core, vpn, frame->pfn);
 
-  // --- FP2: RDMA read of the page. The resilience manager emits its own
-  // rdma/retry/backoff/breaker leaves under the fault span. ---
+  // --- FP2: RDMA read of the page. The data path emits the read's leaves
+  // (rdma, and on the resilient path retry/backoff/breaker) under the fault
+  // span; the stage also spans the host rdma-stack section. ---
   {
-    StageScope stage(SpanKind::kRdmaRead, core, vpn,
-                     resilience_ != nullptr ? SpanHandle{} : root, totals);
+    StageScope stage(SpanKind::kRdmaRead, core, vpn, {}, totals);
     if (config_.rdma_stack_cs_ns > 0) {
       auto g = co_await rdma_stack_lock_.Scoped();
       co_await Delay{config_.rdma_stack_cs_ns};
     }
-    stage.StartLeafNow();
-    if (resilience_ != nullptr) {
-      RemoteOpStatus st = co_await resilience_->ReadPage(
-          core, vpn, /*allow_poison=*/true, root, FleetSlotOf(vpn));
-      if (st == RemoteOpStatus::kPoisoned) ++stats_.pages_poisoned;
-    } else {
-      co_await nic_.Read(kPageSize);
+    if (co_await ReadRemote(core, vpn, /*demand=*/true, root) == RemoteOpStatus::kPoisoned) {
+      ++stats_.pages_poisoned;
     }
   }
 

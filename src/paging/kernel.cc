@@ -181,15 +181,6 @@ void Kernel::Prepopulate(uint64_t resident_pages) {
       swap_->MarkUsedForSetup(vpn);
     }
   }
-  // With a memory-server fleet those warmed-up remote copies exist on their
-  // full desired replica set (slot = vpn at setup, under both slot-based and
-  // direct mapping).
-  if (resilience_ != nullptr && resilience_->fleet() != nullptr) {
-    FleetManager* fleet = resilience_->fleet();
-    for (uint64_t vpn = 0; vpn < wss_pages_; ++vpn) {
-      fleet->PrepopulateSlot(vpn);
-    }
-  }
 }
 
 MAGESIM_HOT_PATH bool Kernel::TryFastAccess(uint64_t vpn, bool write) {
@@ -280,15 +271,13 @@ Task<> Kernel::TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op) {
   // Batch tenants absorb backpressure first: when memory is tight or the
   // write channel is degraded, their faults are delayed before they compete
   // for frames, leaving headroom for latency/normal tenants.
-  if (cg.qos() == QosClass::kBatch &&
-      (free_pages() < low_wm_ ||
-       (resilience_ != nullptr && resilience_->write_degraded()))) {
+  if (cg.qos() == QosClass::kBatch && (free_pages() < low_wm_ || WriteDegraded())) {
     cg.NoteBackpressure();
     TraceEmit(TraceEventType::kTenantThrottle, core, vpn, kTraceNoFrame,
               static_cast<uint64_t>(t));
     StageScope stage(SpanKind::kTenantThrottle, core, vpn, op, &stats_.fault_stages);
     stage.set_arg(static_cast<uint64_t>(t));
-    bool degraded = resilience_ != nullptr && resilience_->write_degraded();
+    bool degraded = WriteDegraded();
     co_await Delay{kTenantBackpressureNs};
     if (SpanTracer* st = SpanTracer::Get(); st != nullptr && degraded) {
       // A throttle taken because the write channel is degraded is causally
@@ -483,22 +472,31 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::PrepareVictims(int evictor_id, CoreId core
   co_return got;
 }
 
-MAGESIM_HOT_PATH size_t Kernel::CountDirtyForWriteback(const std::vector<PageFrame*>& victims) {
-  size_t dirty = 0;
-  for (PageFrame* f : victims) {
-    uint64_t vpn = f->vpn;  // Unmap preserved frame->vpn for writeback routing
-    if (f->dirty || !remote_valid_[vpn]) {
-      ++dirty;
-      remote_valid_[vpn] = true;
-    } else {
-      ++stats_.clean_reclaims;
-    }
-  }
-  return dirty;
+bool Kernel::ReadDegraded() const {
+  return resilience_ != nullptr && resilience_->read_degraded();
 }
 
-MAGESIM_HOT_PATH std::vector<uint64_t> Kernel::CollectWritebackSlots(const std::vector<PageFrame*>& victims) {
-  FleetManager* fleet = resilience_->fleet();
+bool Kernel::WriteDegraded() const {
+  return resilience_ != nullptr && resilience_->write_degraded();
+}
+
+MAGESIM_HOT_PATH Task<RemoteOpStatus> Kernel::ReadRemote(CoreId core, uint64_t vpn, bool demand,
+                                                         SpanHandle op) {
+  if (resilience_ == nullptr) return NicRead(core, vpn, op);
+  return resilience_->ReadPage(core, vpn, pt_->RemoteSlot(vpn), demand, op);
+}
+
+MAGESIM_HOT_PATH Task<RemoteOpStatus> Kernel::NicRead(CoreId core, uint64_t vpn, SpanHandle op) {
+  SimTime t0 = Engine::current().now();
+  auto c = nic_.PostRead(kPageSize);
+  co_await c->Wait();
+  SpanLeafUnder(op, SpanKind::kRdmaRead, t0, Engine::current().now(), core, vpn);
+  co_return RemoteOpStatus::kOk;
+}
+
+MAGESIM_HOT_PATH Kernel::PendingWrite Kernel::Writeback(int evictor_id,
+                                                        const std::vector<PageFrame*>& victims,
+                                                        SpanHandle batch, bool overlap) {
   std::vector<uint64_t> slots;
   // magesim-lint: allow(hotpath-alloc): batch-local scratch, one exact-sized
   // reserve per batch; models the evictor's per-batch slot array, whose cost
@@ -507,9 +505,10 @@ MAGESIM_HOT_PATH std::vector<uint64_t> Kernel::CollectWritebackSlots(const std::
   for (PageFrame* f : victims) {
     uint64_t vpn = f->vpn;  // Unmap preserved frame->vpn for writeback routing
     // A victim that faulted back in while its batch was suspended has lost
-    // its swap slot; FleetSlotOf then routes it by vpn.
-    uint64_t slot = FleetSlotOf(vpn);
-    if (f->dirty || !remote_valid_[vpn] || !fleet->HasLiveCopy(slot)) {
+    // its swap slot; RemoteSlot then routes it by vpn.
+    uint64_t slot = pt_->RemoteSlot(vpn);
+    if (f->dirty || !remote_valid_[vpn] ||
+        (resilience_ != nullptr && resilience_->NeedsRewrite(slot))) {
       // magesim-lint: allow(hotpath-alloc): within the capacity reserved above.
       slots.push_back(slot);
       remote_valid_[vpn] = true;
@@ -517,25 +516,17 @@ MAGESIM_HOT_PATH std::vector<uint64_t> Kernel::CollectWritebackSlots(const std::
       ++stats_.clean_reclaims;
     }
   }
-  return slots;
-}
-
-uint64_t Kernel::FleetSlotOf(uint64_t vpn) const {
-  if (resilience_ == nullptr || resilience_->fleet() == nullptr) {
-    return kNoFleetSlot;
+  if (slots.empty()) return {};
+  if (resilience_ == nullptr) {
+    std::shared_ptr<RdmaCompletion> last;
+    for (size_t i = 0; i < slots.size(); ++i) last = nic_.PostWrite(kPageSize);
+    return PendingWrite(std::move(last), batch, evictor_id);
   }
-  if (swap_ == nullptr) return vpn;
-  uint64_t slot = pt_->At(vpn).swap_slot;
-  return slot == kNoSwapSlot ? vpn : slot;
-}
-
-MAGESIM_HOT_PATH std::shared_ptr<RdmaCompletion> Kernel::PostWriteback(const std::vector<PageFrame*>& victims) {
-  size_t dirty = CountDirtyForWriteback(victims);
-  std::shared_ptr<RdmaCompletion> last;
-  for (size_t i = 0; i < dirty; ++i) {
-    last = nic_.PostWrite(kPageSize);
+  if (overlap) {
+    return PendingWrite(resilience_->SpawnWrite(evictor_id, std::move(slots), batch), {},
+                        evictor_id);
   }
-  return last;
+  return PendingWrite(resilience_->Write(evictor_id, std::move(slots), batch));
 }
 
 // magesim-lint: allow(coroutine-ref-capture): fault_stages points at
@@ -576,26 +567,10 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreI
   // EP4: write back dirty pages. The resilient path awaits every completion
   // with a deadline and retries failures; pages whose writes are lost for
   // good are counted and their frames still reclaimed, so eviction always
-  // makes progress. The resilient path emits its own write leaves.
+  // makes progress. The data path emits the stage's rdma-write leaves.
   {
-    StageScope stage(SpanKind::kRdmaWrite, core, kTraceNoPage,
-                     resilience_ != nullptr ? SpanHandle{} : bspan, fault_stages, evictor_id);
-    if (resilience_ != nullptr && resilience_->fleet() != nullptr) {
-      std::vector<uint64_t> slots = CollectWritebackSlots(victims);
-      if (!slots.empty()) {
-        co_await resilience_->WriteSlots(evictor_id, std::move(slots), bspan);
-      }
-    } else if (resilience_ != nullptr) {
-      size_t dirty = CountDirtyForWriteback(victims);
-      if (dirty > 0) {
-        co_await resilience_->WritePages(evictor_id, dirty, bspan);
-      }
-    } else {
-      auto last = PostWriteback(victims);
-      if (last != nullptr) {
-        co_await last->Wait();
-      }
-    }
+    StageScope stage(SpanKind::kRdmaWrite, core, kTraceNoPage, {}, fault_stages, evictor_id);
+    co_await Writeback(evictor_id, victims, bspan, /*overlap=*/false);
   }
 
   // Reclaim frames into the allocator and release waiting fault paths.

@@ -40,7 +40,7 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
       co_await evictor_wake_.Wait();
       continue;
     }
-    if (pressure && resilience_ != nullptr && resilience_->write_degraded()) {
+    if (pressure && WriteDegraded()) {
       // Write channel degraded: pause once instead of piling batches onto an
       // open breaker; the next writeback acts as the half-open probe.
       co_await resilience_->EvictionBackpressure(evictor_id);
@@ -94,15 +94,10 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
     // Stage 3: wait for the oldest batch's RDMA writes, reclaim its frames,
     // then post writes for the middle batch.
     if (prevprev.has_value()) {
-      if (prevprev->write_completion != nullptr) {
-        StageScope stage(SpanKind::kRdmaWrite, core, kTraceNoPage, prevprev->span, nullptr,
-                         evictor_id);
-        co_await prevprev->write_completion->Wait();
-      } else if (prevprev->write_ticket != nullptr) {
-        // The resilient writeback ticket emits its own rdma/retry/backoff
-        // leaves under this batch's span from its spawned task.
+      if (prevprev->write) {
+        // The data path emits the stage's rdma-write leaves under the batch.
         StageScope stage(SpanKind::kRdmaWrite, core, kTraceNoPage, {}, nullptr, evictor_id);
-        co_await prevprev->write_ticket->done.Wait();
+        co_await prevprev->write;
       }
       if (Tracer::Get() != nullptr) {
         for (PageFrame* f : prevprev->victims) {
@@ -128,20 +123,7 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
       prevprev.reset();
     }
     if (prev.has_value()) {
-      if (resilience_ != nullptr && resilience_->fleet() != nullptr) {
-        std::vector<uint64_t> slots = CollectWritebackSlots(prev->victims);
-        if (!slots.empty()) {
-          prev->write_ticket =
-              resilience_->SpawnWriteSlots(evictor_id, std::move(slots), prev->span);
-        }
-      } else if (resilience_ != nullptr) {
-        size_t dirty = CountDirtyForWriteback(prev->victims);
-        if (dirty > 0) {
-          prev->write_ticket = resilience_->SpawnWritePages(evictor_id, dirty, prev->span);
-        }
-      } else {
-        prev->write_completion = PostWriteback(prev->victims);
-      }
+      prev->write = Writeback(evictor_id, prev->victims, prev->span, /*overlap=*/true);
       prevprev = std::move(prev);
       prev.reset();
     }

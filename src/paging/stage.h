@@ -74,7 +74,6 @@ class StageScope {
         parent_(parent),
         page_(page),
         t0_(Engine::current().now()),
-        leaf_t0_(t0_),
         core_(core),
         actor_(actor),
         kind_(kind) {}
@@ -86,9 +85,6 @@ class StageScope {
   void set_parent(SpanHandle parent) { parent_ = parent; }
   void set_link(SpanCausalPoint link) { link_ = link; }
   void set_arg(uint64_t arg) { arg_ = arg; }
-  // The leaf covers only the rest of the stage (the fault read's leaf is the
-  // NIC op, after the host rdma-stack section the stage also spans).
-  void StartLeafNow() { leaf_t0_ = Engine::current().now(); }
 
   SimTime elapsed() const { return Engine::current().now() - t0_; }
 
@@ -108,7 +104,7 @@ class StageScope {
       e.total_ns += ns;
       ++e.count;
     }
-    SpanLeafUnder(parent_, kind_, leaf_t0_, t1, actor_, page_, link_, arg_);
+    SpanLeafUnder(parent_, kind_, t0_, t1, actor_, page_, link_, arg_);
     return ns;
   }
 
@@ -119,7 +115,6 @@ class StageScope {
   uint64_t page_;
   uint64_t arg_ = 0;
   SimTime t0_;
-  SimTime leaf_t0_;
   CoreId core_;
   int32_t actor_;
   SpanKind kind_;

@@ -119,9 +119,14 @@ Task<> FaultInjector::EpisodeMain() {
   // Overlapping crash windows on the same node stack: the node comes back
   // only when its last crash window closes. An untargeted crash flips node 0.
   std::vector<int> active_crashes(nodes_.size(), 0);
+  std::vector<bool> opened(ws.size(), false);
   for (const Marker& m : marks) {
     Engine& eng = Engine::current();
     if (m.t > eng.now()) co_await Delay{m.t - eng.now()};
+    // A window due after the run has ended (shutdown requested) never opens,
+    // so it is neither counted nor closed.
+    if (m.type == 0 ? eng.shutdown_requested() : !opened[m.idx]) continue;
+    opened[m.idx] = true;
     const FaultWindow& w = ws[m.idx];
     if (w.kind == FaultKind::kCrash) {
       size_t target = w.node >= 0 ? static_cast<size_t>(w.node) : 0;

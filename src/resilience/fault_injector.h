@@ -32,7 +32,8 @@ class FaultInjector : public HwFaultModel {
   // opens and flips memory node availability across crash windows (the nodes
   // themselves trace kMemnodeCrash / kMemnodeRecover on the transition). A
   // node-targeted crash flips `nodes[window.node]`; an untargeted crash flips
-  // node 0, matching the classic single-node machine. Call once, before
+  // node 0, matching the classic single-node machine. A window due after the
+  // run has ended (shutdown requested) never opens. Call once, before
   // Engine::Run.
   void Start(Engine& eng, MemoryNode* memnode);
   void Start(Engine& eng, std::vector<MemoryNode*> nodes);

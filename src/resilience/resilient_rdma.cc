@@ -173,10 +173,9 @@ Task<RemoteOpStatus> ResilienceManager::FleetReadPage(int core, uint64_t vpn,
   co_return RemoteOpStatus::kPoisoned;
 }
 
-Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn,
-                                                 bool allow_poison, SpanHandle op,
-                                                 uint64_t slot) {
-  if (fleet_ != nullptr && slot != kNoFleetSlot) {
+Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn, uint64_t slot,
+                                                 bool allow_poison, SpanHandle op) {
+  if (fleet_ != nullptr) {
     co_return co_await FleetReadPage(core, vpn, slot, allow_poison, op);
   }
   bool ok = co_await OneOp(/*is_write=*/false, core, vpn, opt_.retry.max_retries, op);
@@ -193,15 +192,20 @@ Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn,
   co_return RemoteOpStatus::kPoisoned;
 }
 
-Task<size_t> ResilienceManager::WritePages(int evictor_id, size_t n, SpanHandle op) {
-  if (n == 0) co_return 0;
+Task<> ResilienceManager::Write(int evictor_id, std::vector<uint64_t> slots, SpanHandle op) {
+  if (fleet_ == nullptr) return WritePages(evictor_id, slots.size(), op);
+  return WriteSlots(evictor_id, std::move(slots), op);
+}
+
+Task<> ResilienceManager::WritePages(int evictor_id, size_t n, SpanHandle op) {
+  if (n == 0) co_return;
   SimTime g0 = Engine::current().now();
   co_await write_breaker_.Admit();
   if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
     st->LeafUnder(op, SpanKind::kBreakerWait, g0, Engine::current().now(), evictor_id,
                   kTraceNoPage, st->breaker_open(1));
   }
-  // Post the whole batch back-to-back (matching the legacy path's channel
+  // Post the whole batch back-to-back (matching the direct path's channel
   // utilization), then await in FIFO order; only failures pay retry latency.
   std::vector<std::shared_ptr<RdmaCompletion>> ops;
   ops.reserve(n);
@@ -236,13 +240,11 @@ Task<size_t> ResilienceManager::WritePages(int evictor_id, size_t n, SpanHandle 
               static_cast<uint64_t>(lost));
     if (opt_.terminal == TerminalPolicy::kFailRun) FailRun("writeback retries exhausted");
   }
-  co_return lost;
 }
 
-Task<size_t> ResilienceManager::WriteSlots(int evictor_id,
-                                           std::vector<uint64_t> slots,
-                                           SpanHandle op) {
-  if (fleet_ == nullptr || slots.empty()) co_return 0;
+Task<> ResilienceManager::WriteSlots(int evictor_id, std::vector<uint64_t> slots,
+                                     SpanHandle op) {
+  if (slots.empty()) co_return;
   // Gate once per server this batch will touch (ascending, deterministic) —
   // the fleet analogue of WritePages' single upfront Admit.
   uint16_t touch_mask = 0;
@@ -312,43 +314,21 @@ Task<size_t> ResilienceManager::WriteSlots(int evictor_id,
       FailRun("writeback lost every replica");
     }
   }
-  co_return lost;
 }
 
-Task<> ResilienceManager::TicketMain(int evictor_id, size_t n,
-                                     std::shared_ptr<WritebackTicket> t,
+Task<> ResilienceManager::TicketMain(int evictor_id, std::vector<uint64_t> slots,
+                                     std::shared_ptr<RdmaCompletion> done,
                                      SpanHandle batch_span) {
-  // The owning batch's span rides the call so WritePages' leaves parent
-  // correctly. The batch closes only after `done` fires, so the handle
-  // outlives every leaf emitted here.
-  t->lost = co_await WritePages(evictor_id, n, batch_span);
-  t->done.Set();
+  co_await Write(evictor_id, std::move(slots), batch_span);
+  done->Signal();
 }
 
-std::shared_ptr<WritebackTicket> ResilienceManager::SpawnWritePages(int evictor_id,
-                                                                    size_t n,
-                                                                    SpanHandle batch_span) {
-  auto t = std::make_shared<WritebackTicket>();
-  t->pages = n;
-  Engine::current().Spawn(TicketMain(evictor_id, n, t, batch_span));
-  return t;
-}
-
-Task<> ResilienceManager::TicketMainSlots(int evictor_id,
-                                          std::vector<uint64_t> slots,
-                                          std::shared_ptr<WritebackTicket> t,
-                                          SpanHandle batch_span) {
-  t->lost = co_await WriteSlots(evictor_id, std::move(slots), batch_span);
-  t->done.Set();
-}
-
-std::shared_ptr<WritebackTicket> ResilienceManager::SpawnWriteSlots(
-    int evictor_id, std::vector<uint64_t> slots, SpanHandle batch_span) {
-  auto t = std::make_shared<WritebackTicket>();
-  t->pages = slots.size();
-  Engine::current().Spawn(
-      TicketMainSlots(evictor_id, std::move(slots), t, batch_span));
-  return t;
+std::shared_ptr<RdmaCompletion> ResilienceManager::SpawnWrite(int evictor_id,
+                                                              std::vector<uint64_t> slots,
+                                                              SpanHandle batch_span) {
+  auto done = std::make_shared<RdmaCompletion>(Engine::current().now());
+  Engine::current().Spawn(TicketMain(evictor_id, std::move(slots), done, batch_span));
+  return done;
 }
 
 Task<> ResilienceManager::EvictionBackpressure(int evictor_id) {

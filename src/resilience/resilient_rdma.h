@@ -1,9 +1,12 @@
 // The resilient far-memory data path: per-op deadlines, bounded retries with
 // exponential backoff, a circuit breaker per RDMA channel, and graceful
 // degradation hooks for the paging kernel (eviction backpressure, prefetch
-// throttling, poison-or-fail terminal policy). The kernel routes its remote
-// reads/writebacks through a ResilienceManager when one is attached; with
-// none attached the legacy direct-NIC path is byte-identical.
+// throttling, poison-or-fail terminal policy). On a memory-server fleet it
+// also routes every page by its remote slot (replica choice, fan-out writes,
+// per-server breakers). The machine attaches one when it runs a fault plan or
+// a fleet; the kernel's two data-path entries (Kernel::ReadRemote and
+// Kernel::Writeback) then route through it, and otherwise post to the bare
+// NIC.
 #ifndef MAGESIM_RESILIENCE_RESILIENT_RDMA_H_
 #define MAGESIM_RESILIENCE_RESILIENT_RDMA_H_
 
@@ -46,17 +49,6 @@ enum class RemoteOpStatus : uint8_t {
   kAbandoned,  // retries exhausted on a speculative op; caller must unwind
 };
 
-// Completion handle for a writeback batch running in the background (the
-// pipelined evictor overlaps it with the next batch's shootdown).
-struct WritebackTicket {
-  SimEvent done;
-  size_t pages = 0;
-  size_t lost = 0;  // valid once `done` fires
-};
-
-// Sentinel for ReadPage's slot argument: no fleet routing (single-node path).
-inline constexpr uint64_t kNoFleetSlot = ~0ULL;
-
 class ResilienceManager {
  public:
   ResilienceManager(RdmaNic& nic, const ResilienceOptions& opt);
@@ -73,35 +65,34 @@ class ResilienceManager {
   // on exhaustion applies the terminal policy (`allow_poison` = demand fault)
   // or reports kAbandoned (speculative prefetch: caller unwinds the frame).
   // `op` is the requesting operation's span; the per-attempt rdma/retry/
-  // backoff/breaker leaves attach to it. With a fleet attached, `slot`
-  // (the page's swap slot) selects the serving replica; kNoFleetSlot keeps
-  // the legacy single-NIC path.
-  Task<RemoteOpStatus> ReadPage(int core, uint64_t vpn, bool allow_poison,
-                                SpanHandle op = {}, uint64_t slot = kNoFleetSlot);
+  // backoff/breaker leaves attach to it. With a fleet attached, `slot` (the
+  // page's PageTable::RemoteSlot) selects the serving replica.
+  Task<RemoteOpStatus> ReadPage(int core, uint64_t vpn, uint64_t slot, bool allow_poison,
+                                SpanHandle op);
 
-  // `n` dirty-page writebacks posted back-to-back (keeping the channel as
-  // full as the legacy path), then awaited in FIFO order with per-op
-  // deadlines; failed ops are retried individually. Returns pages lost for
-  // good — their frames are still freed, so eviction never deadlocks.
-  // `op` is the owning batch's span.
-  Task<size_t> WritePages(int evictor_id, size_t n, SpanHandle op = {});
+  // One batch writeback of `slots`, the remote slots of the victims that need
+  // a write. Single node: the writes are posted back-to-back (keeping the
+  // channel as full as the direct path), then awaited in FIFO order with
+  // per-op deadlines; failed ops are retried individually. Fleet: every slot
+  // is written to each live desired replica and the acknowledged replica set
+  // committed to the fleet table. Pages lost for good are counted and traced
+  // (on a fleet, slots left with zero live copies); their frames are still
+  // freed, so eviction never deadlocks. `op` is the owning batch's span.
+  Task<> Write(int evictor_id, std::vector<uint64_t> slots, SpanHandle op);
 
-  // Fleet writeback: every slot is written to each live desired replica
-  // (posted back-to-back, awaited FIFO, failures retried per-replica) and
-  // the acknowledged replica set committed to the fleet table. Returns the
-  // number of slots that ended with zero live copies (each surfaced as
-  // lost by the fleet — never silent).
-  Task<size_t> WriteSlots(int evictor_id, std::vector<uint64_t> slots,
-                          SpanHandle op = {});
+  // Write run as its own task, for the pipelined evictor to overlap with
+  // its next batch; the returned completion fires when the batch is done.
+  // The per-op leaves land under `batch_span`, which the evictor closes only
+  // after the completion fires.
+  std::shared_ptr<RdmaCompletion> SpawnWrite(int evictor_id, std::vector<uint64_t> slots,
+                                             SpanHandle batch_span);
 
-  // Background variant for the pipelined evictor. `batch_span` (may be
-  // null) is passed through to WritePages in the spawned task, so the
-  // per-op rdma/retry/backoff leaves land under the owning eviction batch.
-  std::shared_ptr<WritebackTicket> SpawnWritePages(int evictor_id, size_t n,
-                                                   SpanHandle batch_span = {});
-  std::shared_ptr<WritebackTicket> SpawnWriteSlots(int evictor_id,
-                                                   std::vector<uint64_t> slots,
-                                                   SpanHandle batch_span = {});
+  // True when a clean page in `slot` must be written back anyway: on a fleet,
+  // every replica it had has died, so the resident copy is the last one and
+  // the write restores the desired replica set.
+  bool NeedsRewrite(uint64_t slot) const {
+    return fleet_ != nullptr && !fleet_->HasLiveCopy(slot);
+  }
 
   bool read_degraded() const;
   bool write_degraded() const;
@@ -164,10 +155,11 @@ class ResilienceManager {
   Task<bool> OneOp(bool is_write, int actor, uint64_t vpn, int budget, SpanHandle op);
   Task<RemoteOpStatus> FleetReadPage(int core, uint64_t vpn, uint64_t slot,
                                      bool allow_poison, SpanHandle op);
-  Task<> TicketMain(int evictor_id, size_t n, std::shared_ptr<WritebackTicket> t,
-                    SpanHandle batch_span);
-  Task<> TicketMainSlots(int evictor_id, std::vector<uint64_t> slots,
-                         std::shared_ptr<WritebackTicket> t, SpanHandle batch_span);
+  // Write's single-node and fleet halves.
+  Task<> WritePages(int evictor_id, size_t n, SpanHandle op);
+  Task<> WriteSlots(int evictor_id, std::vector<uint64_t> slots, SpanHandle op);
+  Task<> TicketMain(int evictor_id, std::vector<uint64_t> slots,
+                    std::shared_ptr<RdmaCompletion> done, SpanHandle batch_span);
   void FailRun(const char* why);
   CircuitBreaker& NodeBreaker(int node, bool is_write) {
     auto& v = is_write ? node_write_breakers_ : node_read_breakers_;

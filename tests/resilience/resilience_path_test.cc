@@ -127,12 +127,12 @@ TEST(ResiliencePathTest, PrefetcherThrottlesWhileReadChannelDegraded) {
 }
 
 TEST(ResiliencePathTest, ResilientPathIdlesCleanlyWithoutFaultPlan) {
-  // resilience_enabled with no plan: the data path takes the resilient route
-  // (deadlines, breakers) but nothing ever fails, so every resilience counter
-  // stays zero and the run completes normally.
+  // A plan whose only window opens after the run has ended: the data path
+  // takes the resilient route (deadlines, breakers) but nothing ever fails,
+  // so every resilience counter stays zero and the run completes normally.
   GupsWorkload wl(SmallGups());
   FarMemoryMachine::Options opt = ChaosOptions(31);
-  opt.resilience_enabled = true;
+  opt.fault_plan = "drop@1s-2s";
   FarMemoryMachine m(opt, wl);
   RunResult r = m.Run();
   EXPECT_EQ(r.rdma_retries, 0u);
