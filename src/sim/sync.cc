@@ -21,11 +21,4 @@ void SetAnalysisHooks(const SimAnalysisHooks* hooks) {
   analysis_internal::g_hooks = hooks;
 }
 
-Task<> SimCondVar::Wait(SimMutex& m) {
-  m.AssertHeld("condvar wait");
-  m.Unlock();
-  co_await WaitAwaiter{*this};
-  co_await m.Lock();
-}
-
 }  // namespace magesim

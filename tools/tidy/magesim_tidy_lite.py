@@ -64,8 +64,8 @@ LONG_LIVED_TYPES = {
     "Engine", "Topology", "TlbShootdownManager", "RdmaNic", "Kernel",
     "FarMemoryMachine", "TenancyManager", "ResilienceManager", "MemoryNode",
     "FleetManager", "RebuildDriver", "AppThread", "Workload",
-    "MachineParams", "KernelConfig", "SimMutex", "SimEvent", "SimSemaphore",
-    "SimCondVar", "MetricsRegistry", "MetricsSampler", "SpanTracer",
+    "MachineParams", "KernelConfig", "SimMutex", "SimEvent", "MetricsRegistry",
+    "MetricsSampler", "SpanTracer",
     "PageFrame", "PageTable", "PageAccounting", "PageAllocator", "FramePool",
     "BuddyAllocator", "SwapAllocator", "VmaResolver", "Prefetcher",
     "CircuitBreaker", "MemCgroup", "LockAnalyzer", "Rng", "ZipfGenerator",
