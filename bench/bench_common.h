@@ -12,10 +12,15 @@
 #ifndef MAGESIM_BENCH_BENCH_COMMON_H_
 #define MAGESIM_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/farmem.h"
@@ -27,11 +32,23 @@
 
 namespace magesim {
 
+// Exits with status 2 naming the variable when a harness-only MAGESIM_*
+// value is malformed (the machine options throw from ApplyEnvOverrides).
+[[noreturn]] inline void BadBenchEnv(const char* var, const char* value, const std::string& why) {
+  std::fprintf(stderr, "FATAL: bad %s='%s': %s\n", var, value, why.c_str());
+  std::exit(2);
+}
+
 inline double BenchScale() {
   const char* s = std::getenv("MAGESIM_SCALE");
-  if (s == nullptr) return 1.0;
-  double v = std::atof(s);
-  return v > 0 ? v : 1.0;
+  if (s == nullptr || *s == '\0') return 1.0;
+  double v = 0;
+  const char* end = s + std::strlen(s);
+  auto [p, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || p != end || !(v > 0) || !std::isfinite(v)) {
+    BadBenchEnv("MAGESIM_SCALE", s, "expected a positive number");
+  }
+  return v;
 }
 
 inline uint64_t Scaled(uint64_t base) {
@@ -56,18 +73,19 @@ inline BenchReps BenchRepsFromEnv(int default_warmup, int default_measure) {
   BenchReps r{default_warmup, default_measure, false};
   const char* s = std::getenv("MAGESIM_BENCH_REPS");
   if (s == nullptr || *s == '\0') return r;
-  int w = -1, m = -1;
-  if (std::sscanf(s, "%d:%d", &w, &m) == 2) {
-    if (w >= 0 && m > 0) {
-      r.warmup = w;
-      r.measure = m;
-      r.from_env = true;
-    }
-  } else if (std::sscanf(s, "%d", &m) == 1 && m > 0) {
-    r.warmup = m / 4 > 0 ? m / 4 : 1;
-    r.measure = m;
-    r.from_env = true;
-  }
+  std::string_view v(s);
+  size_t colon = v.find(':');
+  int64_t w = 0;
+  int64_t m = 0;
+  std::string err;
+  bool ok = colon == std::string_view::npos
+                ? ParseIntValue(v, 1, INT32_MAX, &m, &err)
+                : ParseIntValue(v.substr(0, colon), 0, INT32_MAX, &w, &err) &&
+                      ParseIntValue(v.substr(colon + 1), 1, INT32_MAX, &m, &err);
+  if (!ok) BadBenchEnv("MAGESIM_BENCH_REPS", s, err + " (want M or W:M)");
+  r.measure = static_cast<int>(m);
+  r.warmup = colon == std::string_view::npos ? std::max(r.measure / 4, 1) : static_cast<int>(w);
+  r.from_env = true;
   return r;
 }
 

@@ -165,18 +165,4 @@ std::string OptionUsage(std::span<const OptionRow> rows) {
   return out;
 }
 
-bool ParseIntValue(std::string_view text, int64_t lo, int64_t hi, int64_t* out,
-                   std::string* err) {
-  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  if (ec == std::errc::invalid_argument || p != text.data() + text.size()) {
-    *err = "expected an integer, got '" + std::string(text) + "'";
-  } else if (ec == std::errc::result_out_of_range || *out < lo || *out > hi) {
-    *err = "'" + std::string(text) + "' is out of range [" + std::to_string(lo) + ", " +
-           std::to_string(hi) + "]";
-  } else {
-    return true;
-  }
-  return false;
-}
-
 }  // namespace magesim

@@ -41,9 +41,6 @@ void ApplyEnvOverrides(FarMemoryMachine::Options* opt);
 // Per row a "  --flag=value   MAGESIM_ENV" line and an indented doc line.
 std::string OptionUsage(std::span<const OptionRow> rows = OptionTable());
 
-// Strict decimal integer in [lo, hi]: no whitespace, '+' or trailing junk.
-bool ParseIntValue(std::string_view text, int64_t lo, int64_t hi, int64_t* out,
-                   std::string* err);
 
 }  // namespace magesim
 

@@ -1,5 +1,7 @@
 #include "src/tenancy/tenant_spec.h"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 
@@ -62,6 +64,20 @@ bool ParseQosClass(const std::string& s, QosClass* out) {
   return true;
 }
 
+bool ParseIntValue(std::string_view text, int64_t lo, int64_t hi, int64_t* out,
+                   std::string* err) {
+  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
+  if (ec == std::errc::invalid_argument || p != text.data() + text.size()) {
+    *err = "expected an integer, got '" + std::string(text) + "'";
+  } else if (ec == std::errc::result_out_of_range || *out < lo || *out > hi) {
+    *err = "'" + std::string(text) + "' is out of range [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "]";
+  } else {
+    return true;
+  }
+  return false;
+}
+
 bool ParseWorkloadOpts(const std::string& s, std::map<std::string, std::string>* out) {
   for (const std::string& kv : Split(s, ',')) {
     size_t eq = kv.find('=');
@@ -88,9 +104,9 @@ bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err) {
     *err = "tenant spec '" + s + "' has an empty name";
     return false;
   }
-  long w = std::atol(head[1].c_str());
-  if (w <= 0) {
-    *err = "tenant '" + t.name + "': weight '" + head[1] + "' must be a positive integer";
+  int64_t w = 0;
+  if (!ParseIntValue(head[1], 1, UINT32_MAX, &w, err)) {
+    *err = "tenant '" + t.name + "': weight: " + *err;
     return false;
   }
   t.weight = static_cast<uint32_t>(w);
@@ -112,12 +128,12 @@ bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err) {
   std::string wname = wpart.substr(0, comma);
   size_t slash = wname.find('/');
   if (slash != std::string::npos) {
-    int th = std::atoi(wname.c_str() + slash + 1);
-    if (th <= 0) {
-      *err = "tenant '" + t.name + "': bad thread count in '" + wname + "'";
+    int64_t th = 0;
+    if (!ParseIntValue(std::string_view(wname).substr(slash + 1), 1, INT32_MAX, &th, err)) {
+      *err = "tenant '" + t.name + "': thread count: " + *err;
       return false;
     }
-    t.threads = th;
+    t.threads = static_cast<int>(th);
     wname = wname.substr(0, slash);
   }
   if (wname.empty()) {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace magesim {
@@ -71,6 +72,11 @@ struct TenancyOptions {
 // Parses one "name:weight:limit[:soft]:qos=workload[/threads][,k=v...]"
 // spec. Returns false (with a message in *err) on malformed input.
 bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err);
+
+// Strict decimal integer in [lo, hi]: no whitespace, '+' or trailing junk.
+// The one integer parser behind option values and tenant specs.
+bool ParseIntValue(std::string_view text, int64_t lo, int64_t hi, int64_t* out,
+                   std::string* err);
 
 // Parses "key=val,key=val" (the workload-option grammar of tenant specs and
 // magesim_cli --workload-opts) into *out; false on an entry without a key or

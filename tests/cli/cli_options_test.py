@@ -3,23 +3,26 @@
 
 Malformed values, unknown flags and stray arguments exit with status 2 and an
 error naming the offender; a MAGESIM_* variable overrides its flag; a flag and
-its variable produce the same output; repeated --tenant flags accumulate.
+its variable produce the same output; repeated --tenant flags accumulate. The
+bench harnesses' own variables (MAGESIM_SCALE, MAGESIM_BENCH_REPS) are just as
+strict.
 
-usage: cli_options_test.py path/to/magesim_cli
+usage: cli_options_test.py path/to/magesim_cli path/to/perf_engine_events
 """
 import os
 import subprocess
 import sys
 
 CLI = sys.argv[1]
+BENCH = sys.argv[2]
 BASE = ["--workload=seqscan", "--threads=2", "--workload-opts=pages=512,passes=2", "--far=40"]
 TENANT = "{}:1:0.5:normal=seqscan/2,pages=256,passes=1"
 
 
-def run(args, env=None):
+def run(args, env=None, binary=CLI):
     clean = {k: v for k, v in os.environ.items() if not k.startswith("MAGESIM_")}
     clean.update(env or {})
-    return subprocess.run([CLI] + args, env=clean, capture_output=True, text=True,
+    return subprocess.run([binary] + args, env=clean, capture_output=True, text=True,
                           timeout=120)
 
 
@@ -48,6 +51,8 @@ BAD_FLAGS = [
     ("--check=2", "--check"),
     ("--terminal=crash", "--terminal"),
     ("--tenant=not-a-spec", "--tenant"),
+    ("--tenant=lat:2x:0.5:latency=seqscan", "tenant 'lat'"),
+    ("--tenant=b:1:0.5:batch=seqscan/4q", "tenant 'b'"),
     ("--span-out=x.jsonl", "--span-out"),
     ("stray", "stray"),
 ]
@@ -60,10 +65,20 @@ BAD_ENV = [
     ("MAGESIM_SPANS_TOP_K", "8x"),
     ("MAGESIM_CHECK_INTERVAL_US", "abc"),
     ("MAGESIM_TENANCY", "x"),
+    ("MAGESIM_TENANCY", "lat:2x:0.5:latency=seqscan"),
+    ("MAGESIM_TENANCY", "b:1:0.5:batch=seqscan/4q"),
 ]
 for name, value in BAD_ENV:
     p = run(BASE, {name: value})
     check(p.returncode == 2 and name in p.stderr, f"{name}={value}: want exit 2 naming it", p)
+
+# Harness-only variables: junk exits 2 naming the variable instead of
+# silently falling back to the default.
+for name, value in [("MAGESIM_SCALE", "abc"), ("MAGESIM_SCALE", "0.5x"),
+                    ("MAGESIM_SCALE", "-1"), ("MAGESIM_BENCH_REPS", "3x"),
+                    ("MAGESIM_BENCH_REPS", "1:"), ("MAGESIM_BENCH_REPS", "0")]:
+    p = run([], {name: value}, binary=BENCH)
+    check(p.returncode == 2 and name in p.stderr, f"bench {name}={value}: want exit 2 naming it", p)
 
 p = run([])
 check(p.returncode == 2 and "--spans-sample=N" in p.stderr and "default 32" in p.stderr,

@@ -47,6 +47,17 @@ TEST(TenantSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseTenantSpec("x:0:0.5:normal=gups", &s, &err));     // zero weight
   EXPECT_FALSE(ParseTenantSpec("x:1:0.5:fancy=gups", &s, &err));      // bad qos
   EXPECT_FALSE(ParseTenantSpec("x:1:nope:normal=gups", &s, &err));    // bad limit
+  // Weight and thread count parse strictly: junk is rejected, naming the
+  // tenant, instead of reading as its numeric prefix.
+  EXPECT_FALSE(ParseTenantSpec("lat:2x:0.5:latency=gups", &s, &err));
+  EXPECT_NE(err.find("tenant 'lat'"), std::string::npos) << err;
+  EXPECT_NE(err.find("weight"), std::string::npos) << err;
+  EXPECT_FALSE(ParseTenantSpec("b:1:0.5:batch=gups/4q", &s, &err));
+  EXPECT_NE(err.find("tenant 'b'"), std::string::npos) << err;
+  EXPECT_NE(err.find("thread count"), std::string::npos) << err;
+  EXPECT_FALSE(ParseTenantSpec("b:1:0.5:batch=gups/", &s, &err));     // empty thread count
+  EXPECT_FALSE(ParseTenantSpec("b:1:0.5:batch=gups/0", &s, &err));    // zero threads
+  EXPECT_FALSE(ParseTenantSpec("b:+1:0.5:batch=gups", &s, &err));     // sign
 }
 
 TEST(TenantSpecTest, ListParsingValidatesUniqueNames) {
