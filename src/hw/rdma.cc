@@ -81,7 +81,10 @@ std::shared_ptr<RdmaCompletion> RdmaNic::Post(Channel& ch, uint64_t bytes, Histo
   SimTime completes = start + wire + params_.rdma_base_ns + extra;
   // allocate_shared + slab: completion object and control block live in one
   // recyclable block (one completion per RDMA op adds up to millions).
-  auto c = std::allocate_shared<RdmaCompletion>(SlabStdAllocator<RdmaCompletion>{}, completes);
+  auto c = [&] {
+    MAGESIM_PROF_SCOPE(rdma_post_alloc);
+    return std::allocate_shared<RdmaCompletion>(SlabStdAllocator<RdmaCompletion>{}, completes);
+  }();
   if (fate.drop) {
     // The op still consumed channel time (the payload may even have reached
     // the far side) but its completion is lost: the event never fires and no
@@ -96,9 +99,12 @@ std::shared_ptr<RdmaCompletion> RdmaNic::Post(Channel& ch, uint64_t bytes, Histo
               kTraceNoPage, kTraceNoFrame, bytes);
     return c;
   }
-  lat.Record(completes - now);
-  if (queueing != nullptr) {
-    queueing->Record(start - now);
+  {
+    MAGESIM_PROF_SCOPE(rdma_post_hist);
+    lat.Record(completes - now);
+    if (queueing != nullptr) {
+      queueing->Record(start - now);
+    }
   }
   TraceEventType done_ev;
   RdmaCompletion::Status status;
@@ -114,7 +120,10 @@ std::shared_ptr<RdmaCompletion> RdmaNic::Post(Channel& ch, uint64_t bytes, Histo
     done_ev = is_write ? TraceEventType::kRdmaWriteDone : TraceEventType::kRdmaReadDone;
     status = RdmaCompletion::Status::kOk;
   }
-  eng.Spawn(SignalAt(c, completes, done_ev, completes - now, status));
+  {
+    MAGESIM_PROF_SCOPE(rdma_post_spawn);
+    eng.Spawn(SignalAt(c, completes, done_ev, completes - now, status));
+  }
   return c;
 }
 

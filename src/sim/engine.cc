@@ -18,7 +18,7 @@ Engine::Engine() {
   current_ = this;
   // Steady-state push/pop must not allocate; 4K events outgrows every
   // workload's standing event population by a wide margin.
-  queue_.reserve(4096);
+  future_.reserve(4096);
 }
 
 Engine::~Engine() { current_ = nullptr; }
@@ -31,30 +31,25 @@ TaskId Engine::Spawn(Task<> task) {
 
 uint64_t Engine::Run() {
   uint64_t processed = 0;
-  const EventBefore before{};
   for (;;) {
     Event ev;
-    // ready_ is (t, seq)-sorted by construction and its front always carries
-    // t == now_ while non-empty, so comparing the two fronts yields the
-    // global minimum — identical extraction order to a single heap.
-    if (!ready_.empty()) {
-      if (!queue_.empty() && before(queue_.top(), ready_.front())) {
-        MAGESIM_PROF_SCOPE(run_heap_pop);
-        ev = queue_.top();
-        queue_.pop();
-      } else {
-        ev = ready_.front();
-        ready_.pop_front();
-      }
-    } else if (!queue_.empty()) {
-      MAGESIM_PROF_SCOPE(run_heap_pop);
-      ev = queue_.top();
-      queue_.pop();
+    // ready_ is (t, seq)-sorted by construction and its front carries
+    // t == now_. A future event due at now_ was scheduled before the clock
+    // reached now_, so its seq is below that front's; any other future event
+    // is later. Popping future_ first exactly when it has an event due now
+    // therefore yields the global (t, seq) minimum — identical extraction
+    // order to a single heap.
+    assert(ready_.empty() || ready_.front().t == now_);
+    if (!ready_.empty() && !future_.due_now()) {
+      ev = ready_.front();
+      ready_.pop_front();
     } else {
-      break;
+      MAGESIM_PROF_SCOPE(run_heap_pop);
+      if (!future_.pop(&ev)) break;
     }
     assert(ev.t >= now_);
     now_ = ev.t;
+    assert(future_.now() == now_);
     current_task_ = ev.task;
     ++processed;
     {

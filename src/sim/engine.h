@@ -20,11 +20,11 @@
 #include <cstdint>
 
 #include "src/sim/analysis_hooks.h"
-#include "src/sim/event_heap.h"
 #include "src/sim/prof_counters.h"
 #include "src/sim/ring_queue.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
+#include "src/sim/timer_wheel.h"
 
 namespace magesim {
 
@@ -49,7 +49,7 @@ class Engine {
   // Schedules `h` at time `t`, attributed to the currently running task (or
   // to `task` in the explicit overload — used when waking another task).
   // Scheduling into the past clamps to now. Immediate events (t <= now) skip
-  // the heap entirely — see the ready_ comment below.
+  // the timer wheel entirely — see the ready_ comment below.
   void ScheduleAt(SimTime t, std::coroutine_handle<> h) { ScheduleAt(t, h, current_task_); }
   void ScheduleAt(SimTime t, std::coroutine_handle<> h, TaskId task) {
     assert(h);
@@ -58,7 +58,7 @@ class Engine {
       ready_.push_back(Event{now_, seq_++, h, task});
     } else {
       MAGESIM_PROF_SCOPE(sched_heap_push);
-      queue_.push(Event{t, seq_++, h, task});
+      future_.push(Event{t, seq_++, h, task});
     }
   }
   void ScheduleAfter(SimTime dt, std::coroutine_handle<> h) {
@@ -96,7 +96,7 @@ class Engine {
 
   uint64_t events_processed() const { return events_processed_; }
 
- private:
+  // One scheduled resumption. Public for the queue equivalence tests.
   struct Event {
     SimTime t;
     uint64_t seq;
@@ -104,7 +104,7 @@ class Engine {
     TaskId task;
   };
   // (t, seq) is unique per event, so extraction order — and therefore the
-  // simulation — is deterministic regardless of heap layout.
+  // simulation — is deterministic regardless of queue layout.
   struct EventBefore {
     bool operator()(const Event& a, const Event& b) const {
       if (a.t != b.t) return a.t < b.t;
@@ -112,16 +112,18 @@ class Engine {
     }
   };
 
+ private:
   // Events land in one of two structures:
   //  * ready_: events scheduled at the current time (lock handoffs, wakeups,
   //    yields, spawns — the majority in fault-heavy runs). Each entry's t is
   //    the now_ at push time and seq is globally increasing, so the ring is
   //    (t, seq)-sorted by construction and push/pop are O(1).
-  //  * queue_: future events (delays, timers), a 4-ary min-heap.
+  //  * future_: future events (delays, timers), an exact-time timer wheel
+  //    with a 4-ary heap as its far tier (timer_wheel.h).
   // The dispatch loop pops whichever front is (t, seq)-smaller, which is the
   // global minimum — extraction order is bit-identical to a single heap.
   RingQueue<Event> ready_;
-  DAryHeap<Event, EventBefore> queue_;
+  TimerWheel<Event, EventBefore> future_;
   SimTime now_ = 0;
   uint64_t seq_ = 0;
   uint64_t events_processed_ = 0;

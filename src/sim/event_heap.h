@@ -1,18 +1,12 @@
-// Flat 4-ary min-heap for the engine's event queue.
+// Flat 4-ary min-heap: the far tier of the engine's timer wheel.
 //
-// Replaces std::priority_queue<Event, vector, greater<>>: the 4-ary layout
-// halves tree depth, keeps each sift step inside one or two cache lines of
-// the flat array, and lets us pre-reserve capacity so steady-state push/pop
-// never allocates. Ordering is identical to the binary heap's *extraction
-// order*: keys (t, seq) are unique per event, so any correct heap pops the
-// same total order and determinism is unaffected by the layout change.
-//
-// Profile note (fig05 sweep, 2026-08): after the slab allocator landed, the
-// event heap was the next-largest engine cost; switching binary -> 4-ary
-// recovered most of it. If a future profile shows the heap dominating again
-// (deep queues from very wide topologies), the documented fallback is a
-// calendar queue / hierarchical timer wheel keyed on SimTime — see
-// docs/INTERNALS.md "Perf harness & baselines".
+// The engine keeps future events in a TimerWheel (timer_wheel.h), which
+// holds events due within its horizon in per-nanosecond slots and sends the
+// rest here. The 4-ary layout halves the depth of a binary heap and keeps
+// each sift step inside one or two cache lines of the flat array, and
+// reserve() lets steady-state push/pop run without allocating. Keys (t, seq)
+// are unique per event, so any correct heap pops the same total order; the
+// timer wheel tests use this heap as the reference order.
 #ifndef MAGESIM_SIM_EVENT_HEAP_H_
 #define MAGESIM_SIM_EVENT_HEAP_H_
 

@@ -35,6 +35,18 @@ class OptReader {
     return out;
   }
 
+  // A size that must be at least `min`: the workloads divide by it, take it
+  // modulo, or size a Zipf generator with it, so a smaller value would crash
+  // or hang the run instead of failing here.
+  uint64_t U64AtLeast(const std::string& key, uint64_t def, uint64_t min) {
+    uint64_t out = U64(key, def);
+    if (out < min) {
+      Fail(key, *Find(key));
+      return def;
+    }
+    return out;
+  }
+
   int Int(const std::string& key, int def) { return static_cast<int>(U64(key, static_cast<uint64_t>(def))); }
 
   // An integer that must lie in [lo, hi]. Parsed signed, so "-1" is out of
@@ -57,6 +69,18 @@ class OptReader {
     char* end = nullptr;
     double out = std::strtod(v->c_str(), &end);
     if (end == v->c_str() || *end != '\0') Fail(key, *v);
+    return out;
+  }
+
+  // A finite rate above zero: memcached draws inter-arrival gaps of
+  // 1e9 / rate ns, and a rate of 0 turned into a negative gap that never
+  // advanced simulated time.
+  double PositiveDbl(const std::string& key, double def) {
+    double out = Dbl(key, def);
+    if (!std::isfinite(out) || out <= 0) {
+      Fail(key, *Find(key));
+      return def;
+    }
     return out;
   }
 
@@ -124,7 +148,8 @@ const std::vector<Entry>& Registry() {
        [](const WorkloadParams& p, OptReader& o) -> std::unique_ptr<Workload> {
          return std::make_unique<DataframeWorkload>(DataframeWorkload::Options{
              .num_rows = o.U64("rows", 8 * 1024 * 1024),
-             .num_columns = o.Int("columns", 4),
+             // Every query reads columns 0, 1 and 2.
+             .num_columns = static_cast<int>(o.U64AtLeast("columns", 4, 3)),
              .threads = p.threads,
              .queries_per_thread = o.Int("queries", 4)});
        }},
@@ -132,7 +157,8 @@ const std::vector<Entry>& Registry() {
         "pages=49152 theta=0.99 phase_ms=300 run_ms=600"},
        [](const WorkloadParams& p, OptReader& o) -> std::unique_ptr<Workload> {
          return std::make_unique<GupsWorkload>(GupsWorkload::Options{
-             .total_pages = o.U64("pages", 48 * 1024),
+             // Regions A and B take 80% and 20% of the pages; each needs one.
+             .total_pages = o.U64AtLeast("pages", 48 * 1024, 2),
              .threads = p.threads,
              .zipf_theta = o.Theta(0.99),
              .phase_change_at = static_cast<SimTime>(o.U64("phase_ms", 300)) * kMillisecond,
@@ -142,8 +168,8 @@ const std::vector<Entry>& Registry() {
         "keys=262144 ops=200000 duration_ms=1000"},
        [](const WorkloadParams& p, OptReader& o) -> std::unique_ptr<Workload> {
          return std::make_unique<MemcachedWorkload>(MemcachedWorkload::Options{
-             .num_keys = o.U64("keys", 1 << 18),
-             .load_ops_per_sec = o.Dbl("ops", 200000),
+             .num_keys = o.U64AtLeast("keys", 1 << 18, 1),
+             .load_ops_per_sec = o.PositiveDbl("ops", 200000),
              .server_threads = p.threads,
              .duration = static_cast<SimTime>(o.U64("duration_ms", 1000)) * kMillisecond});
        }},
@@ -152,15 +178,17 @@ const std::vector<Entry>& Registry() {
        [](const WorkloadParams& p, OptReader& o) -> std::unique_ptr<Workload> {
          return std::make_unique<MetisWorkload>(MetisWorkload::Options{
              .input_pages = o.U64("input", 16 * 1024),
-             .intermediate_pages = o.U64("intermediate", 12 * 1024),
+             .intermediate_pages = o.U64AtLeast("intermediate", 12 * 1024, 1),
              .threads = p.threads});
        }},
       {{"mixed-trace", "zipf point lookups mixed with shard scans",
         "wss=32768 accesses=20000 theta=0.95 scan=0.2"},
        [](const WorkloadParams& p, OptReader& o) -> std::unique_ptr<Workload> {
-         TraceGenOptions gopt{.wss_pages = o.U64("wss", 32 * 1024),
-                              .threads = p.threads,
-                              .accesses_per_thread = o.U64("accesses", 20000)};
+         // Each thread scans its own wss / threads pages.
+         TraceGenOptions gopt{
+             .wss_pages = o.U64AtLeast("wss", 32 * 1024, static_cast<uint64_t>(std::max(p.threads, 1))),
+             .threads = p.threads,
+             .accesses_per_thread = o.U64("accesses", 20000)};
          double theta = o.Theta(0.95);
          double scan = o.Dbl("scan", 0.2);
          if (!o.ok()) return nullptr;
@@ -198,14 +226,14 @@ const std::vector<Entry>& Registry() {
         "gridpoints=262144 lookups=3000"},
        [](const WorkloadParams& p, OptReader& o) -> std::unique_ptr<Workload> {
          return std::make_unique<XsBenchWorkload>(XsBenchWorkload::Options{
-             .gridpoints = o.U64("gridpoints", 1 << 18),
+             .gridpoints = o.U64AtLeast("gridpoints", 1 << 18, 1),
              .lookups_per_thread = o.U64("lookups", 3000),
              .threads = p.threads});
        }},
       {{"zipf-trace", "zipf-distributed point accesses",
         "wss=32768 accesses=20000 theta=0.95"},
        [](const WorkloadParams& p, OptReader& o) -> std::unique_ptr<Workload> {
-         TraceGenOptions gopt{.wss_pages = o.U64("wss", 32 * 1024),
+         TraceGenOptions gopt{.wss_pages = o.U64AtLeast("wss", 32 * 1024, 1),
                               .threads = p.threads,
                               .accesses_per_thread = o.U64("accesses", 20000)};
          double theta = o.Theta(0.95);

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """magesim_cli option handling, end to end.
 
-Malformed values, unknown flags and stray arguments exit with status 2 and an
-error naming the offender; a MAGESIM_* variable overrides its flag; a flag and
+Malformed values, unknown flags, stray arguments and workload sizes too small
+to run exit with status 2 and an error naming the offender; a MAGESIM_* variable overrides its flag; a flag and
 its variable produce the same output; repeated --tenant flags accumulate. The
 bench harnesses' own variables (MAGESIM_SCALE, MAGESIM_BENCH_REPS) are just as
 strict.
@@ -59,6 +59,27 @@ BAD_FLAGS = [
 for arg, name in BAD_FLAGS:
     p = run(BASE + [arg])
     check(p.returncode == 2 and name in p.stderr, f"{arg}: want exit 2 naming {name}", p)
+
+# Workload sizes the workload divides by, reduces modulo or hands to a Zipf
+# generator, and memcached's offered rate: too small a value is rejected
+# before the run instead of dying with SIGFPE or SIGSEGV or hanging.
+BAD_WORKLOAD_OPTS = [
+    ("gups", "pages=0", "pages"),
+    ("gups", "pages=1", "pages"),
+    ("zipf-trace", "wss=0", "wss"),
+    ("mixed-trace", "wss=0", "wss"),
+    ("mixed-trace", "wss=1", "wss"),  # fewer pages than the 2 threads
+    ("memcached", "keys=0", "keys"),
+    ("metis", "intermediate=0", "intermediate"),
+    ("xsbench", "gridpoints=0", "gridpoints"),
+    ("dataframe", "columns=0", "columns"),
+    ("dataframe", "columns=2", "columns"),
+    ("memcached", "ops=0", "ops"),
+]
+for workload, opts, name in BAD_WORKLOAD_OPTS:
+    p = run([f"--workload={workload}", "--threads=2", f"--workload-opts={opts}", "--far=40"])
+    check(p.returncode == 2 and f"'{name}'" in p.stderr,
+          f"{workload} {opts}: want exit 2 naming {name}", p)
 
 BAD_ENV = [
     ("MAGESIM_FLEET_NODES", "two"),

@@ -165,5 +165,39 @@ TEST(EngineTest, YieldNowRunsOtherSameTimeEventsFirst) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(EngineTest, ResumesAcrossTheTimerWheelHorizon) {
+  // Delays of W and more go to the far tier, shorter ones to the wheel. At
+  // t = W three tasks resume: `far` was scheduled from t = 0 (far tier),
+  // `early` from t = 1 and `late` from t = W - 1 (both wheel); scheduling
+  // order decides, whichever tier holds the event.
+  constexpr SimTime W = static_cast<SimTime>(TimerWheel<Engine::Event, Engine::EventBefore>::kSlots);
+  Engine e;
+  std::vector<std::pair<int, SimTime>> log;
+  auto chain = [](Engine& e, std::vector<std::pair<int, SimTime>>& log, int id,
+                  std::vector<SimTime> delays) -> Task<> {
+    for (SimTime d : delays) {
+      co_await Delay{d};
+      log.emplace_back(id, e.now());
+    }
+  };
+  e.Spawn(chain(e, log, 1, {W - 1, 1}));        // late
+  e.Spawn(chain(e, log, 2, {W}));               // far
+  e.Spawn(chain(e, log, 3, {1, W - 1}));        // early
+  e.Spawn(chain(e, log, 4, {W + 1}));           // far, one past the others
+  e.Spawn(chain(e, log, 5, {10 * W, W, W - 1})); // same slot index, later laps
+  e.Spawn(chain(e, log, 6, {2 * W - 1}));       // slot just before W's
+  e.Run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, SimTime>>{{3, 1},
+                                                        {1, W - 1},
+                                                        {2, W},
+                                                        {3, W},
+                                                        {1, W},
+                                                        {4, W + 1},
+                                                        {6, 2 * W - 1},
+                                                        {5, 10 * W},
+                                                        {5, 11 * W},
+                                                        {5, 12 * W - 1}}));
+}
+
 }  // namespace
 }  // namespace magesim

@@ -101,6 +101,39 @@ TEST(WorkloadRegistryTest, RejectsPageRankScaleOutsideZeroTo32) {
   }
 }
 
+TEST(WorkloadRegistryTest, RejectsSizesTooSmallToRun) {
+  // Each of these used to reach a division or modulo by zero (a Zipf
+  // generator over zero ranks, a zero-page shard), a query reading a column
+  // that does not exist (dataframe), or a load generator whose arrival gap
+  // never advanced time (memcached).
+  struct Case {
+    const char* workload;
+    const char* key;
+    const char* bad;
+    const char* smallest_ok;
+  };
+  const Case cases[] = {
+      {"gups", "pages", "1", "2"},           {"gups", "pages", "0", "2"},
+      {"zipf-trace", "wss", "0", "1"},       {"mixed-trace", "wss", "0", "2"},
+      {"mixed-trace", "wss", "1", "2"},      {"memcached", "keys", "0", "1"},
+      {"metis", "intermediate", "0", "1"},   {"xsbench", "gridpoints", "0", "1"},
+      {"dataframe", "columns", "0", "3"},    {"dataframe", "columns", "2", "3"},
+      {"memcached", "ops", "0", "0.5"},      {"memcached", "ops", "-1", "0.5"},
+      {"memcached", "ops", "inf", "0.5"},
+  };
+  for (const Case& c : cases) {
+    WorkloadParams params;
+    params.threads = 2;
+    params.opts = {{c.key, c.bad}};
+    std::string err;
+    EXPECT_EQ(MakeWorkload(c.workload, params, &err), nullptr) << c.workload << " " << c.key;
+    EXPECT_NE(err.find(std::string("'") + c.key + "'"), std::string::npos) << err;
+    params.opts = {{c.key, c.smallest_ok}};
+    EXPECT_NE(MakeWorkload(c.workload, params, &err), nullptr)
+        << c.workload << " " << c.key << "=" << c.smallest_ok << ": " << err;
+  }
+}
+
 TEST(WorkloadRegistryTest, TraceRequiresAFile) {
   WorkloadParams params;
   std::string err;

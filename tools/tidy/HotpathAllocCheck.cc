@@ -24,8 +24,8 @@ HotpathAllocCheck::HotpathAllocCheck(StringRef Name, ClangTidyContext *Context)
     : ClangTidyCheck(Name, Context),
       AllowedContainersRegexStr(Options.get(
           "AllowedContainersRegex",
-          "^(RingQueue|DAryHeap|IntrusiveList|VpnSet|SlabAllocator|"
-          "FixedVector|Histogram)$")),
+          "^(RingQueue|DAryHeap|TimerWheel|IntrusiveList|VpnSet|"
+          "SlabAllocator|FixedVector|Histogram)$")),
       AllowedContainersRegex(AllowedContainersRegexStr) {}
 
 void HotpathAllocCheck::storeOptions(ClangTidyOptions::OptionMap &Opts) {

@@ -77,8 +77,8 @@ LONG_LIVED_TYPES = {
 # resolve receiver types, so it exempts receivers *declared in the same file*
 # with one of these types.
 ALLOWED_CONTAINER_TYPES = (
-    "RingQueue", "DAryHeap", "IntrusiveList", "VpnSet", "SlabAllocator",
-    "FixedVector", "Histogram",
+    "RingQueue", "DAryHeap", "TimerWheel", "IntrusiveList", "VpnSet",
+    "SlabAllocator", "FixedVector", "Histogram",
 )
 
 GROWTH_METHODS = (
