@@ -2,8 +2,10 @@
 // the trace hash plus per-type event counts and checked against its own
 // golden file in the source tree. The canonical seqscan run covers the fault
 // path, evictors, allocators and fabric; the others pin each remote data
-// path (direct NIC with dirty writebacks, single-node resilient, fleet) and
-// the prefetcher's degraded-channel behaviour. Any behavioral change shows
+// path (direct NIC with dirty writebacks, single-node resilient, fleet), the
+// prefetcher's degraded-channel behaviour, and the allocator and accounting
+// variants the canonical run does not reach (DiLOS's global mutex and
+// global LRU, S3-FIFO, MGLRU). Any behavioral change shows
 // up as a readable per-counter diff.
 //
 // Intentional behavior changes: regenerate with
@@ -38,6 +40,12 @@ struct GoldenScenario {
 std::unique_ptr<Workload> SmallSeqScan() {
   return std::make_unique<SeqScanWorkload>(
       SeqScanWorkload::Options{.region_pages = 2048, .threads = 2, .passes = 2});
+}
+
+// Sixteen threads: enough faulting pressure to outrun a single evictor.
+std::unique_ptr<Workload> WideSeqScan() {
+  return std::make_unique<SeqScanWorkload>(
+      SeqScanWorkload::Options{.region_pages = 4096, .threads = 16, .passes = 3});
 }
 
 std::unique_ptr<Workload> PrefetchSeqScan() {
@@ -93,6 +101,32 @@ FarMemoryMachine::Options FleetOptions() {
   return opt;
 }
 
+// DiLOS: global-mutex allocator and global LRU. One evictor behind 16
+// scanning threads runs the pool down to the min watermark, so faults also
+// take the synchronous-eviction fallback.
+FarMemoryMachine::Options DilosOptions() {
+  KernelConfig k = DilosConfig();
+  k.num_evictors = 1;
+  return GupsOptions(k);
+}
+
+// MageLib with S3-FIFO's small/main/ghost queues in place of the
+// partitioned FIFO.
+FarMemoryMachine::Options S3FifoOptions() {
+  KernelConfig k = MageLibConfig();
+  k.accounting = AccountingPolicy::kS3Fifo;
+  return GupsOptions(k);
+}
+
+// MageLib with MGLRU generations; one evictor at 70% far leaves faulting
+// threads waiting for free pages.
+FarMemoryMachine::Options MgLruOptions() {
+  KernelConfig k = MageLibConfig();
+  k.accounting = AccountingPolicy::kMgLru;
+  k.num_evictors = 1;
+  return GupsOptions(k, 0.3);
+}
+
 // Read-ahead on a failing read channel: prefetches throttled while the read
 // breaker is open and abandoned when their retries run out.
 FarMemoryMachine::Options PrefetchOptions() {
@@ -115,6 +149,11 @@ const GoldenScenario kDataPathScenarios[] = {
     {"gups_magelib_fleet_crash", "gups/magelib 2-node fleet crash", SmallGups, FleetOptions},
     {"seqscan_prefetch_error", "seqscan/magelib prefetch under errors", PrefetchSeqScan,
      PrefetchOptions},
+    {"seqscan_dilos", "seqscan/dilos global mutex + global LRU, sync eviction", WideSeqScan,
+     DilosOptions},
+    {"gups_magelib_s3fifo", "gups/magelib S3-FIFO accounting", SmallGups, S3FifoOptions},
+    {"seqscan_magelib_mglru", "seqscan/magelib MGLRU accounting, free-page waits",
+     WideSeqScan, MgLruOptions},
 };
 
 std::string GoldenPath(const GoldenScenario& s) {
