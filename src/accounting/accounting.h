@@ -33,8 +33,27 @@ class PageAccounting {
  public:
   virtual ~PageAccounting() = default;
 
-  // FP3: registers a freshly faulted-in (or reactivated) page.
-  virtual Task<> Insert(CoreId core, PageFrame* f) = 0;
+  // FP3: registers a freshly faulted-in (or reactivated) page. Every policy
+  // shares one shape — take the insert lock, spend `cs_ns` under it, commit
+  // — so Insert() is exactly this composition of the pieces below, which
+  // the fault path runs inline in its own coroutine frame
+  // (docs/INTERNALS.md §1, "Frame discipline"):
+  //
+  //   SimTime start = now;
+  //   InsertPlan p = PlanInsert(core, f);
+  //   auto g = co_await p.lock->Scoped();
+  //   co_await Delay{p.cs_ns};
+  //   CommitInsert(core, f, start);
+  Task<> Insert(CoreId core, PageFrame* f);
+
+  struct InsertPlan {
+    SimMutex* lock;  // the list lock the insert takes (partition or global)
+    SimTime cs_ns;   // the critical section's cost
+  };
+  virtual InsertPlan PlanInsert(CoreId core, const PageFrame* f) = 0;
+  // Links `f` under the plan's lock, held by the caller, and counts an
+  // insert begun at `start`.
+  virtual void CommitInsert(CoreId core, PageFrame* f, SimTime start) = 0;
 
   // Setup-time registration with zero simulated cost (machine prepopulation).
   virtual void InsertSetup(CoreId core, PageFrame* f) = 0;
@@ -59,6 +78,11 @@ class PageAccounting {
   SimTime insert_time_total() const { return insert_time_total_; }
 
  protected:
+  void CountInsert(SimTime start) {
+    ++stats_.inserts;
+    insert_time_total_ += Engine::current().now() - start;
+  }
+
   AccountingStats stats_;
   SimTime insert_time_total_ = 0;
 };

@@ -13,14 +13,16 @@ constexpr int16_t kActive = 1;
 
 GlobalLru::GlobalLru(PageTable& pt, Costs costs) : pt_(pt), costs_(costs) {}
 
-Task<> GlobalLru::Insert(CoreId core, PageFrame* f) {
-  SimTime start = Engine::current().now();
-  auto g = co_await lock_.Scoped();
-  co_await Delay{costs_.insert_cs_ns};
+PageAccounting::InsertPlan GlobalLru::PlanInsert(CoreId core, const PageFrame* f) {
+  return InsertPlan{&lock_, costs_.insert_cs_ns};
+}
+
+void GlobalLru::CommitInsert(CoreId core, PageFrame* f, SimTime start) {
+  // magesim-lint: allow(guardedby-static): the caller holds lock_, the
+  // insert lock PlanInsert returned.
   inactive_.Locked("lru insert").PushBack(f);
   f->lru_list = kInactive;
-  ++stats_.inserts;
-  insert_time_total_ += Engine::current().now() - start;
+  CountInsert(start);
 }
 
 void GlobalLru::InsertSetup(CoreId core, PageFrame* f) {

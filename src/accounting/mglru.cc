@@ -9,17 +9,15 @@ namespace magesim {
 
 MgLru::MgLru(PageTable& pt, Costs costs) : pt_(pt), costs_(costs) {}
 
-Task<> MgLru::Insert(CoreId core, PageFrame* f) {
-  SimTime start = Engine::current().now();
-  {
-    auto g = co_await lock_.Scoped();
-    co_await Delay{costs_.insert_cs_ns};
-    MAGESIM_ASSERT_HELD(lock_, "mglru generations (insert)");
-    Youngest().PushBack(f);
-    f->lru_list = YoungestId();
-  }
-  ++stats_.inserts;
-  insert_time_total_ += Engine::current().now() - start;
+PageAccounting::InsertPlan MgLru::PlanInsert(CoreId core, const PageFrame* f) {
+  return InsertPlan{&lock_, costs_.insert_cs_ns};
+}
+
+void MgLru::CommitInsert(CoreId core, PageFrame* f, SimTime start) {
+  MAGESIM_ASSERT_HELD(lock_, "mglru generations (insert)");
+  Youngest().PushBack(f);
+  f->lru_list = YoungestId();
+  CountInsert(start);
 }
 
 void MgLru::InsertSetup(CoreId core, PageFrame* f) {

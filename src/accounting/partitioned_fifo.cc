@@ -27,18 +27,16 @@ PartitionedFifo::PartitionedFifo(PageTable& pt, int num_partitions, int num_evic
   }
 }
 
-Task<> PartitionedFifo::Insert(CoreId core, PageFrame* f) {
-  SimTime start = Engine::current().now();
+PageAccounting::InsertPlan PartitionedFifo::PlanInsert(CoreId core, const PageFrame* f) {
+  return InsertPlan{locks_[PartitionFor(core)].get(), costs_.insert_cs_ns};
+}
+
+void PartitionedFifo::CommitInsert(CoreId core, PageFrame* f, SimTime start) {
   size_t p = PartitionFor(core);
-  {
-    auto g = co_await locks_[p]->Scoped();
-    co_await Delay{costs_.insert_cs_ns};
-    MAGESIM_ASSERT_HELD(*locks_[p], "fifo partition (insert)");
-    lists_[p].PushBack(f);
-    f->lru_list = static_cast<int16_t>(p);
-  }
-  ++stats_.inserts;
-  insert_time_total_ += Engine::current().now() - start;
+  MAGESIM_ASSERT_HELD(*locks_[p], "fifo partition (insert)");
+  lists_[p].PushBack(f);
+  f->lru_list = static_cast<int16_t>(p);
+  CountInsert(start);
 }
 
 void PartitionedFifo::InsertSetup(CoreId core, PageFrame* f) {

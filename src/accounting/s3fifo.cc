@@ -45,16 +45,14 @@ void S3Fifo::PlaceNew(PageFrame* f) {
   }
 }
 
-Task<> S3Fifo::Insert(CoreId core, PageFrame* f) {
-  SimTime start = Engine::current().now();
-  {
-    auto g = co_await lock_.Scoped();
-    co_await Delay{costs_.insert_cs_ns};
-    MAGESIM_ASSERT_HELD(lock_, "s3fifo queues (insert)");
-    PlaceNew(f);
-  }
-  ++stats_.inserts;
-  insert_time_total_ += Engine::current().now() - start;
+PageAccounting::InsertPlan S3Fifo::PlanInsert(CoreId core, const PageFrame* f) {
+  return InsertPlan{&lock_, costs_.insert_cs_ns};
+}
+
+void S3Fifo::CommitInsert(CoreId core, PageFrame* f, SimTime start) {
+  MAGESIM_ASSERT_HELD(lock_, "s3fifo queues (insert)");
+  PlaceNew(f);
+  CountInsert(start);
 }
 
 void S3Fifo::InsertSetup(CoreId core, PageFrame* f) {

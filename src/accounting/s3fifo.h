@@ -33,7 +33,8 @@ class S3Fifo : public PageAccounting {
 
   explicit S3Fifo(PageTable& pt, Costs costs = Costs());
 
-  Task<> Insert(CoreId core, PageFrame* f) override;
+  InsertPlan PlanInsert(CoreId core, const PageFrame* f) override;
+  void CommitInsert(CoreId core, PageFrame* f, SimTime start) override;
   void InsertSetup(CoreId core, PageFrame* f) override;
   Task<size_t> IsolateBatch(int evictor_id, CoreId core, size_t want,
                             std::vector<PageFrame*>* out) override;

@@ -14,24 +14,30 @@ MultilayerAllocator::MultilayerAllocator(BuddyAllocator& buddy, int num_cores,
   buddy_.SetGuard(&buddy_lock_);
 }
 
-Task<PageFrame*> MultilayerAllocator::Alloc(CoreId core) {
-  SimTime start = Engine::current().now();
+PageAllocator::AllocAttempt MultilayerAllocator::BeginAlloc(CoreId core) {
   if (LockAnalyzer* la = LockAnalyzer::Active()) {
     la->CheckCoreAffinity(core, "core cache fill");
   }
+  return AllocAttempt{.start = Engine::current().now(),
+                      .fast = !caches_[static_cast<size_t>(core)].empty(),
+                      .cost = costs_.pcp_hit_ns};
+}
+
+bool MultilayerAllocator::CommitFast(CoreId core, const AllocAttempt& a, PageFrame** out) {
+  // Re-check: a prefetch task sharing this core may have drained the cache
+  // during the hit delay.
   auto& cache = caches_[static_cast<size_t>(core)];
-  if (!cache.empty()) {
-    co_await Delay{costs_.pcp_hit_ns};
-    // Re-check: a prefetch task sharing this core may have drained the cache
-    // while we were suspended.
-    if (!cache.empty()) {
-      PageFrame* f = cache.back();
-      cache.pop_back();
-      f->state = PageFrame::State::kAllocated;
-      ChargeAlloc(Engine::current().now() - start);
-      co_return f;
-    }
-  }
+  if (cache.empty()) return false;
+  PageFrame* f = cache.back();
+  cache.pop_back();
+  f->state = PageFrame::State::kAllocated;
+  ChargeAlloc(Engine::current().now() - a.start);
+  *out = f;
+  return true;
+}
+
+Task<PageFrame*> MultilayerAllocator::AllocSlow(CoreId core, SimTime start) {
+  auto& cache = caches_[static_cast<size_t>(core)];
   // Level 2: batch-pop from the shared concurrent queue. The critical section
   // is one pointer-range splice, independent of batch size.
   {

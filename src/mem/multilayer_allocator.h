@@ -21,7 +21,11 @@ class MultilayerAllocator : public PageAllocator {
   MultilayerAllocator(BuddyAllocator& buddy, int num_cores, AllocatorCosts costs = {},
                       int core_cache_batch = 32, int core_cache_high = 64);
 
-  Task<PageFrame*> Alloc(CoreId core) override;
+  // Fast path: a per-core cache hit. Slow path: a batch refill from the
+  // shared queue, then the buddy fallback.
+  AllocAttempt BeginAlloc(CoreId core) override;
+  bool CommitFast(CoreId core, const AllocAttempt& a, PageFrame** out) override;
+  Task<PageFrame*> AllocSlow(CoreId core, SimTime start) override;
   Task<> Free(CoreId core, PageFrame* f) override;
   // Eviction-thread strategy: batch-push to the shared queue (one short
   // critical section per batch, not per page).

@@ -36,9 +36,39 @@ class PageAllocator {
  public:
   virtual ~PageAllocator() = default;
 
+  // One allocation's fast path, described for the caller to run: an
+  // optional lock held across a `cost` delay, then CommitFast().
+  struct AllocAttempt {
+    SimTime start = 0;         // when the allocation began (what it is charged from)
+    bool fast = false;         // a fast path applies (e.g. the core cache is non-empty)
+    SimMutex* lock = nullptr;  // held across the fast path's delay, if any
+    SimTime cost = 0;          // the fast path's delay
+  };
+
   // Grabs one free frame for `core`, or nullptr if none is available anywhere.
-  // May suspend on allocator locks.
-  virtual Task<PageFrame*> Alloc(CoreId core) = 0;
+  // May suspend on allocator locks. It is exactly this composition of the
+  // pieces below, which the fault path runs inline in its own coroutine
+  // frame (docs/INTERNALS.md §1, "Frame discipline"):
+  //
+  //   AllocAttempt a = BeginAlloc(core);
+  //   if (a.fast) {
+  //     auto g = co_await SimMutex::ScopedIf(a.lock);
+  //     co_await Delay{a.cost};
+  //     if (CommitFast(core, a, &f)) -> done, f (null: exhausted)
+  //   }
+  //   f = co_await AllocSlow(core, a.start);
+  Task<PageFrame*> Alloc(CoreId core);
+
+  // Starts an allocation at the current time.
+  virtual AllocAttempt BeginAlloc(CoreId core) = 0;
+  // Finishes the fast path after its delay, under its lock. Returns true
+  // when the allocation is complete (`*out` is the frame, or null when the
+  // allocator is exhausted) and false when AllocSlow() must finish it.
+  virtual bool CommitFast(CoreId core, const AllocAttempt& a, PageFrame** out) = 0;
+  // The slow path — refill and fallbacks — of an allocation begun at
+  // `start`; it pays no fast-path delay. An allocator whose fast path
+  // always completes never reaches this default.
+  virtual Task<PageFrame*> AllocSlow(CoreId core, SimTime start);
 
   // Returns one frame.
   virtual Task<> Free(CoreId core, PageFrame* f) = 0;

@@ -12,23 +12,28 @@ PcpAllocator::PcpAllocator(BuddyAllocator& buddy, int num_cores, AllocatorCosts 
   buddy_.SetGuard(&buddy_lock_);
 }
 
-Task<PageFrame*> PcpAllocator::Alloc(CoreId core) {
-  SimTime start = Engine::current().now();
+PageAllocator::AllocAttempt PcpAllocator::BeginAlloc(CoreId core) {
   if (LockAnalyzer* la = LockAnalyzer::Active()) {
     la->CheckCoreAffinity(core, "pcp cache fill");
   }
+  return AllocAttempt{.start = Engine::current().now(),
+                      .fast = !caches_[static_cast<size_t>(core)].empty(),
+                      .cost = costs_.pcp_hit_ns};
+}
+
+bool PcpAllocator::CommitFast(CoreId core, const AllocAttempt& a, PageFrame** out) {
+  // Re-check after the hit delay: another context on this core (e.g. a
+  // prefetch task) may have drained the cache meanwhile.
   auto& cache = caches_[static_cast<size_t>(core)];
-  if (!cache.empty()) {
-    co_await Delay{costs_.pcp_hit_ns};
-    // Re-check after the suspension: another context on this core (e.g. a
-    // prefetch task) may have drained the cache meanwhile.
-    if (!cache.empty()) {
-      PageFrame* f = cache.back();
-      cache.pop_back();
-      ChargeAlloc(Engine::current().now() - start);
-      co_return f;
-    }
-  }
+  if (cache.empty()) return false;
+  *out = cache.back();
+  cache.pop_back();
+  ChargeAlloc(Engine::current().now() - a.start);
+  return true;
+}
+
+Task<PageFrame*> PcpAllocator::AllocSlow(CoreId core, SimTime start) {
+  auto& cache = caches_[static_cast<size_t>(core)];
   // Refill a batch from the buddy allocator under its lock.
   {
     auto g = co_await buddy_lock_.Scoped();
@@ -91,16 +96,17 @@ GlobalMutexAllocator::GlobalMutexAllocator(BuddyAllocator& buddy, AllocatorCosts
   buddy_.SetGuard(&mutex_);
 }
 
-Task<PageFrame*> GlobalMutexAllocator::Alloc(CoreId core) {
-  SimTime start = Engine::current().now();
-  PageFrame* f = nullptr;
-  {
-    auto g = co_await mutex_.Scoped();
-    co_await Delay{costs_.global_mutex_cs_ns};
-    f = buddy_.AllocPage();
-  }
-  ChargeAlloc(Engine::current().now() - start);
-  co_return f;
+PageAllocator::AllocAttempt GlobalMutexAllocator::BeginAlloc(CoreId core) {
+  return AllocAttempt{.start = Engine::current().now(),
+                      .fast = true,
+                      .lock = &mutex_,
+                      .cost = costs_.global_mutex_cs_ns};
+}
+
+bool GlobalMutexAllocator::CommitFast(CoreId core, const AllocAttempt& a, PageFrame** out) {
+  *out = buddy_.AllocPage();
+  ChargeAlloc(Engine::current().now() - a.start);
+  return true;
 }
 
 Task<> GlobalMutexAllocator::Free(CoreId core, PageFrame* f) {

@@ -17,7 +17,11 @@ class PcpAllocator : public PageAllocator {
   PcpAllocator(BuddyAllocator& buddy, int num_cores, AllocatorCosts costs = {},
                int batch = 32, int high_watermark = 64);
 
-  Task<PageFrame*> Alloc(CoreId core) override;
+  // Fast path: a lockless per-CPU cache hit. Slow path: a batch refill
+  // from the buddy allocator under its lock.
+  AllocAttempt BeginAlloc(CoreId core) override;
+  bool CommitFast(CoreId core, const AllocAttempt& a, PageFrame** out) override;
+  Task<PageFrame*> AllocSlow(CoreId core, SimTime start) override;
   Task<> Free(CoreId core, PageFrame* f) override;
   Task<> FreeBatch(CoreId core, const std::vector<PageFrame*>& frames) override;
   uint64_t global_free_pages() const override { return buddy_.free_pages(); }
@@ -42,7 +46,9 @@ class GlobalMutexAllocator : public PageAllocator {
  public:
   explicit GlobalMutexAllocator(BuddyAllocator& buddy, AllocatorCosts costs = {});
 
-  Task<PageFrame*> Alloc(CoreId core) override;
+  // The whole allocation is the fast path: one lock, one delay, one commit.
+  AllocAttempt BeginAlloc(CoreId core) override;
+  bool CommitFast(CoreId core, const AllocAttempt& a, PageFrame** out) override;
   Task<> Free(CoreId core, PageFrame* f) override;
   Task<> FreeBatch(CoreId core, const std::vector<PageFrame*>& frames) override;
   uint64_t global_free_pages() const override { return buddy_.free_pages(); }

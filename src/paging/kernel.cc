@@ -364,31 +364,37 @@ Task<> Kernel::TenantBalanceControllerMain() {
   }
 }
 
-MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(CoreId core, uint64_t vpn, SpanHandle op) {
-  if (config_.variant == Variant::kIdeal) {
-    // The ideal variant has no allocator locks by construction.
-    AnalysisExemptScope exempt;
-    PageFrame* f = buddy_->AllocPage();
-    if (f == nullptr) {
-      IdealReclaimOne();
-      f = buddy_->AllocPage();
-    }
-    co_return f;
+PageFrame* Kernel::IdealAlloc() {
+  // The ideal variant has no allocator locks by construction.
+  AnalysisExemptScope exempt;
+  PageFrame* f = buddy_->AllocPage();
+  if (f == nullptr) {
+    IdealReclaimOne();
+    f = buddy_->AllocPage();
   }
-  for (int attempt = 0;; ++attempt) {
-    // Trigger sync eviction below the min watermark (Hermit/DiLOS eager
-    // behavior) or on outright allocation failure.
-    if (config_.allow_sync_eviction && free_pages() <= min_wm_) {
-      co_await SyncEvict(core, op);
-    }
-    PageFrame* f;
-    {
-      StageScope stage(SpanKind::kAlloc, core, vpn, op, &stats_.fault_stages);
-      f = co_await allocator_->Alloc(core);
-    }
-    if (f != nullptr) {
-      MaybeWakeEvictors();
-      co_return f;
+  return f;
+}
+
+MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(CoreId core, uint64_t vpn,
+                                                            SpanHandle op,
+                                                            bool after_failed_attempt) {
+  if (config_.variant == Variant::kIdeal) co_return IdealAlloc();
+  for (bool failed = after_failed_attempt;; failed = false) {
+    if (!failed) {
+      // Trigger sync eviction below the min watermark (Hermit/DiLOS eager
+      // behavior) or on outright allocation failure.
+      if (config_.allow_sync_eviction && free_pages() <= min_wm_) {
+        co_await SyncEvict(core, op);
+      }
+      PageFrame* f;
+      {
+        StageScope stage(SpanKind::kAlloc, core, vpn, op, &stats_.fault_stages);
+        f = co_await allocator_->Alloc(core);
+      }
+      if (f != nullptr) {
+        MaybeWakeEvictors();
+        co_return f;
+      }
     }
     MaybeWakeEvictors();
     if (config_.allow_sync_eviction) {
@@ -480,18 +486,29 @@ bool Kernel::WriteDegraded() const {
   return resilience_ != nullptr && resilience_->write_degraded();
 }
 
-MAGESIM_HOT_PATH Task<RemoteOpStatus> Kernel::ReadRemote(CoreId core, uint64_t vpn, bool demand,
-                                                         SpanHandle op) {
-  if (resilience_ == nullptr) return NicRead(core, vpn, op);
-  return resilience_->ReadPage(core, vpn, pt_->RemoteSlot(vpn), demand, op);
+MAGESIM_HOT_PATH Kernel::RemoteRead Kernel::ReadRemote(CoreId core, uint64_t vpn, bool demand,
+                                                      SpanHandle op) {
+  if (resilience_ == nullptr) return RemoteRead(nic_, core, vpn, op);
+  return RemoteRead(resilience_->ReadPage(core, vpn, pt_->RemoteSlot(vpn), demand, op));
 }
 
-MAGESIM_HOT_PATH Task<RemoteOpStatus> Kernel::NicRead(CoreId core, uint64_t vpn, SpanHandle op) {
-  SimTime t0 = Engine::current().now();
-  auto c = nic_.PostRead(kPageSize);
-  co_await c->Wait();
-  SpanLeafUnder(op, SpanKind::kRdmaRead, t0, Engine::current().now(), core, vpn);
-  co_return RemoteOpStatus::kOk;
+bool Kernel::RemoteRead::await_ready() {
+  if (read_.valid()) return false;
+  t0_ = Engine::current().now();
+  done_ = nic_->PostRead(kPageSize);
+  return done_->done();
+}
+
+std::coroutine_handle<> Kernel::RemoteRead::await_suspend(std::coroutine_handle<> cont) {
+  if (read_.valid()) return read_.BeginAwait(cont);
+  done_->Wait().await_suspend(cont);
+  return std::noop_coroutine();
+}
+
+RemoteOpStatus Kernel::RemoteRead::await_resume() {
+  if (read_.valid()) return read_.TakeResult();
+  SpanLeafUnder(op_, SpanKind::kRdmaRead, t0_, Engine::current().now(), core_, vpn_);
+  return RemoteOpStatus::kOk;
 }
 
 MAGESIM_HOT_PATH Kernel::PendingWrite Kernel::Writeback(int evictor_id,

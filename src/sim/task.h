@@ -141,6 +141,19 @@ class [[nodiscard]] Task {
     return Awaiter{handle_};
   }
 
+  // For hand-written awaiters that embed a Task: arms `cont` as the
+  // continuation and returns the handle to resume (symmetric transfer).
+  // Ownership stays with this Task; TakeResult() reads the finished value.
+  std::coroutine_handle<> BeginAwait(std::coroutine_handle<> cont) noexcept {
+    assert(handle_);
+    handle_.promise().set_continuation(cont);
+    return handle_;
+  }
+  T TakeResult() {
+    handle_.promise().RethrowIfException();
+    return handle_.promise().TakeValue();
+  }
+
  private:
   void DestroyFrame() {
     if (handle_) {

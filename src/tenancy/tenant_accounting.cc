@@ -21,11 +21,15 @@ int TenantAccounting::RouteTenant(const PageFrame* f) const {
   return mgr_.TenantOf(f->vpn);
 }
 
-Task<> TenantAccounting::Insert(CoreId core, PageFrame* f) {
-  SimTime t0 = Engine::current().now();
-  ++stats_.inserts;
-  co_await per_[static_cast<size_t>(RouteTenant(f))]->Insert(core, f);
-  insert_time_total_ += Engine::current().now() - t0;
+// The tenant's own policy takes the insert; the facade keeps its own
+// counters over it.
+PageAccounting::InsertPlan TenantAccounting::PlanInsert(CoreId core, const PageFrame* f) {
+  return per_[static_cast<size_t>(RouteTenant(f))]->PlanInsert(core, f);
+}
+
+void TenantAccounting::CommitInsert(CoreId core, PageFrame* f, SimTime start) {
+  per_[static_cast<size_t>(RouteTenant(f))]->CommitInsert(core, f, start);
+  CountInsert(start);
 }
 
 void TenantAccounting::InsertSetup(CoreId core, PageFrame* f) {

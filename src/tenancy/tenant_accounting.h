@@ -36,7 +36,8 @@ class TenantAccounting : public PageAccounting {
   TenantAccounting(TenancyManager& mgr,
                    std::vector<std::unique_ptr<PageAccounting>> per_tenant);
 
-  Task<> Insert(CoreId core, PageFrame* f) override;
+  InsertPlan PlanInsert(CoreId core, const PageFrame* f) override;
+  void CommitInsert(CoreId core, PageFrame* f, SimTime start) override;
   void InsertSetup(CoreId core, PageFrame* f) override;
   Task<size_t> IsolateBatch(int evictor_id, CoreId core, size_t want,
                             std::vector<PageFrame*>* out) override;

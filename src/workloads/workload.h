@@ -61,7 +61,9 @@ class AppThread {
       return false;
     }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-      slow = t.AccessSlow(vpn, write);
+      // The slow path is the kernel's: flush the pending compute, then
+      // fault until the access hits.
+      slow = t.kernel_.Access(t.core_, vpn, write, t.TakePending());
       return slow.BeginAwait(h);
     }
     void await_resume() {
@@ -108,14 +110,6 @@ class AppThread {
       prof->AddPhase(core_, SimPhase::kTlbWait, stolen);
     }
     return whole + stolen;
-  }
-
-  Task<> AccessSlow(uint64_t vpn, bool write) {
-    SimTime d = TakePending();
-    if (d > 0) co_await Delay{d};
-    while (!kernel_.TryFastAccess(vpn, write)) {
-      co_await kernel_.Fault(core_, vpn, write);
-    }
   }
 
   Kernel& kernel_;
