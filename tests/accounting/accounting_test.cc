@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "src/accounting/global_lru.h"
+#include "src/accounting/mglru.h"
 #include "src/accounting/partitioned_fifo.h"
+#include "src/accounting/s3fifo.h"
 #include "src/sim/engine.h"
 
 namespace magesim {
@@ -210,6 +212,56 @@ TEST(PartitionedFifoTest, IsolateFromEmptyReturnsZero) {
     EXPECT_TRUE(victims.empty());
   }(fifo));
   e.Run();
+}
+
+// Three inserts from three cores contend on one insert lock: it hands off
+// in arrival order, so the pages are linked (and later isolated) in that
+// order, and the i-th insert waits for the i-1 critical sections before it.
+void CheckContendedInsertsHandOffInFifoOrder(PageAccounting& acc, Fixture& fx, SimTime cs) {
+  Engine e;
+  for (uint32_t i = 0; i < 3; ++i) {
+    e.Spawn([](PageAccounting& acc, PageFrame* f, CoreId core) -> Task<> {
+      co_await acc.Insert(core, f);
+    }(acc, &fx.pool.frame(i), static_cast<CoreId>(i)));
+  }
+  e.Run();
+  EXPECT_EQ(acc.stats().inserts, 3u);
+  EXPECT_EQ(acc.insert_time_total(), cs + 2 * cs + 3 * cs);
+  LockStats ls = acc.AggregateLockStats();
+  EXPECT_EQ(ls.acquisitions, 3u);
+  EXPECT_EQ(ls.contended, 2u);
+  EXPECT_EQ(ls.total_wait_ns, cs + 2 * cs);
+
+  std::vector<PageFrame*> victims;
+  e.Spawn([](PageAccounting& acc, std::vector<PageFrame*>* out) -> Task<> {
+    co_await acc.IsolateBatch(0, 0, 3, out);
+  }(acc, &victims));
+  e.Run();
+  ASSERT_EQ(victims.size(), 3u);
+  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(victims[i]->pfn, i);
+}
+
+TEST(AccountingInsertTest, ContendedInsertLockHandsOffInFifoOrder) {
+  {
+    Fixture fx(8);
+    PartitionedFifo fifo(fx.pt, /*num_partitions=*/1, /*num_evictors=*/1);
+    CheckContendedInsertsHandOffInFifoOrder(fifo, fx, PartitionedFifoCosts{}.insert_cs_ns);
+  }
+  {
+    Fixture fx(8);
+    GlobalLru lru(fx.pt);
+    CheckContendedInsertsHandOffInFifoOrder(lru, fx, GlobalLruCosts{}.insert_cs_ns);
+  }
+  {
+    Fixture fx(8);
+    S3Fifo s3(fx.pt);
+    CheckContendedInsertsHandOffInFifoOrder(s3, fx, S3FifoCosts{}.insert_cs_ns);
+  }
+  {
+    Fixture fx(8);
+    MgLru mglru(fx.pt);
+    CheckContendedInsertsHandOffInFifoOrder(mglru, fx, MgLruCosts{}.insert_cs_ns);
+  }
 }
 
 }  // namespace

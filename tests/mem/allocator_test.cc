@@ -158,5 +158,70 @@ TEST(MultilayerAllocatorTest, FaultPathCheaperThanGlobalMutexUnderLoad) {
   EXPECT_LT(mean_alloc_ns(true) * 3, mean_alloc_ns(false));
 }
 
+// Two allocations on one core both find the core cache's last frame and pay
+// the hit delay; the one that finds it gone after the delay falls to the
+// refill without paying the hit delay a second time. `refill_ns` is that
+// refill's closed-form cost (and the cost of the first, cache-filling
+// allocation, which finds the cache empty).
+void CheckDrainDuringHitDelay(PageAllocator& a, SimTime refill_ns) {
+  Engine e;
+  SimTime took[2] = {-1, -1};
+  e.Spawn([](PageAllocator& a, SimTime* took) -> Task<> {
+    // A batch-2 refill leaves one frame cached.
+    EXPECT_NE(co_await a.Alloc(0), nullptr);
+    WaitGroup wg;
+    for (int i = 0; i < 2; ++i) {
+      wg.Add();
+      Engine::current().Spawn([](PageAllocator& a, SimTime& took, WaitGroup& wg) -> Task<> {
+        SimTime t0 = Engine::current().now();
+        EXPECT_NE(co_await a.Alloc(0), nullptr);
+        took = Engine::current().now() - t0;
+        wg.Done();
+      }(a, took[i], wg));
+    }
+    co_await wg.Wait();
+  }(a, took));
+  e.Run();
+  const SimTime hit = AllocatorCosts{}.pcp_hit_ns;
+  EXPECT_EQ(took[0], hit);
+  EXPECT_EQ(took[1], hit + refill_ns);
+  EXPECT_EQ(a.allocs(), 3u);
+  EXPECT_EQ(a.alloc_time_total(), refill_ns + hit + hit + refill_ns);
+}
+
+TEST(PcpAllocatorTest, CacheDrainedDuringHitDelayRefillsWithoutSecondHit) {
+  FramePool pool(64);
+  BuddyAllocator buddy(pool);
+  PcpAllocator alloc(buddy, 1, {}, /*batch=*/2);
+  const AllocatorCosts c;
+  CheckDrainDuringHitDelay(alloc, c.buddy_cs_base_ns + 2 * c.pcp_move_per_page_ns);  // 310
+}
+
+TEST(MultilayerAllocatorTest, CacheDrainedDuringHitDelayRefillsWithoutSecondHit) {
+  FramePool pool(64);
+  BuddyAllocator buddy(pool);
+  MultilayerAllocator alloc(buddy, 1, {}, /*core_cache_batch=*/2);
+  const AllocatorCosts c;
+  // An empty shared queue, then the buddy fallback: 380.
+  CheckDrainDuringHitDelay(
+      alloc, c.shared_queue_cs_ns + c.buddy_cs_base_ns + 2 * c.pcp_move_per_page_ns);
+}
+
+TEST(GlobalMutexAllocatorTest, ContendedAllocsQueueOnTheMutex) {
+  Engine e;
+  FramePool pool(64);
+  BuddyAllocator buddy(pool);
+  GlobalMutexAllocator alloc(buddy);
+  for (int i = 0; i < 3; ++i) {
+    e.Spawn([](PageAllocator& a) -> Task<> { EXPECT_NE(co_await a.Alloc(0), nullptr); }(alloc));
+  }
+  e.Run();
+  const SimTime cs = AllocatorCosts{}.global_mutex_cs_ns;
+  EXPECT_EQ(alloc.allocs(), 3u);
+  EXPECT_EQ(alloc.alloc_time_total(), cs + 2 * cs + 3 * cs);
+  EXPECT_EQ(alloc.lock_stats().contended, 2u);
+  EXPECT_EQ(buddy.free_pages(), 61u);
+}
+
 }  // namespace
 }  // namespace magesim
