@@ -21,18 +21,20 @@ Counter::Counter(const char* n) : name(n) {
 
 void Report() {
   uint64_t total = 0;
-  for (Counter* c = g_head; c != nullptr; c = c->next) total += c->cycles;
+  for (Counter* c = g_head; c != nullptr; c = c->next) total += c->self_cycles;
   if (total == 0) return;
-  std::fprintf(stderr, "\n== MAGESIM_PROF counters (nested scopes overlap) ==\n");
-  std::fprintf(stderr, "%-24s %14s %16s %10s %7s\n", "scope", "calls", "cycles",
-               "cyc/call", "share");
+  std::fprintf(stderr, "\n== MAGESIM_PROF counters (share = of self cycles) ==\n");
+  std::fprintf(stderr, "%-24s %14s %16s %10s %10s %7s\n", "scope", "calls", "cycles",
+               "cyc/call", "self/call", "share");
   for (Counter* c = g_head; c != nullptr; c = c->next) {
     if (c->calls == 0) continue;
-    std::fprintf(stderr, "%-24s %14llu %16llu %10.1f %6.1f%%\n", c->name,
+    const double calls = static_cast<double>(c->calls);
+    std::fprintf(stderr, "%-24s %14llu %16llu %10.1f %10.1f %6.1f%%\n", c->name,
                  static_cast<unsigned long long>(c->calls),
                  static_cast<unsigned long long>(c->cycles),
-                 static_cast<double>(c->cycles) / static_cast<double>(c->calls),
-                 100.0 * static_cast<double>(c->cycles) / static_cast<double>(total));
+                 static_cast<double>(c->cycles) / calls,
+                 static_cast<double>(c->self_cycles) / calls,
+                 100.0 * static_cast<double>(c->self_cycles) / static_cast<double>(total));
   }
 }
 

@@ -12,9 +12,12 @@
 //     { MAGESIM_PROF_SCOPE(resume); ev.h.resume(); }
 //   }
 //
-// A table (calls, total cycles, cycles/call, share) is printed to stderr at
-// process exit. Scopes nest freely — inner scopes are also counted inside
-// their enclosing scope, so the table is attribution, not a partition.
+// A table (calls, total cycles, cycles/call, self cycles/call, share) is
+// printed to stderr at process exit. Scopes nest freely: a scope's cycles
+// include its nested scopes, its self cycles exclude them (a stack of the
+// active scopes tracks the nesting), and `share` is over self cycles, so
+// that column partitions the profiled time. A nested scope's own entry and
+// exit bookkeeping still lands in its parent's self cycles.
 //
 // Only place scopes in PLAIN functions: a scope inside a coroutine would
 // live across suspension points and absorb every other activity that runs
@@ -33,7 +36,8 @@ namespace prof {
 struct Counter {
   explicit Counter(const char* name);
   const char* name;
-  uint64_t cycles = 0;
+  uint64_t cycles = 0;       // inclusive of nested scopes
+  uint64_t self_cycles = 0;  // exclusive of nested scopes
   uint64_t calls = 0;
   Counter* next = nullptr;  // intrusive registry chain
 };
@@ -43,17 +47,28 @@ void Report();
 
 class Scope {
  public:
-  explicit Scope(Counter& c) : c_(c), t0_(__rdtsc()) {}
+  explicit Scope(Counter& c) : c_(c), parent_(active_) {
+    active_ = this;
+    t0_ = __rdtsc();
+  }
   ~Scope() {
-    c_.cycles += __rdtsc() - t0_;
+    const uint64_t dt = __rdtsc() - t0_;
+    c_.cycles += dt;
+    c_.self_cycles += dt - nested_;
     ++c_.calls;
+    if (parent_ != nullptr) parent_->nested_ += dt;
+    active_ = parent_;
   }
   Scope(const Scope&) = delete;
   Scope& operator=(const Scope&) = delete;
 
  private:
+  static inline Scope* active_ = nullptr;  // innermost open scope
+
   Counter& c_;
-  uint64_t t0_;
+  Scope* parent_;
+  uint64_t t0_ = 0;
+  uint64_t nested_ = 0;  // cycles of the scopes nested directly in this one
 };
 
 }  // namespace prof
