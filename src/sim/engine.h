@@ -58,7 +58,7 @@ class Engine {
       ready_.push_back(Event{now_, seq_++, h, task});
     } else {
       MAGESIM_PROF_SCOPE(sched_heap_push);
-      future_.push(Event{t, seq_++, h, task});
+      future_.emplace(t, seq_++, h, task);
     }
   }
   void ScheduleAfter(SimTime dt, std::coroutine_handle<> h) {

@@ -57,24 +57,31 @@ class TimerWheel {
   // The t of the last event popped (0 before the first pop).
   SimTime now() const { return now_; }
 
-  MAGESIM_HOT_PATH void push(const T& x) {
-    assert(x.t >= now_);
-    if (static_cast<uint64_t>(x.t - now_) >= kSlots) {
-      far_.push(x);
+  MAGESIM_HOT_PATH void push(const T& x) { emplace(x.t, x); }
+
+  // Pushes T{t, rest...}. The fields are stored straight into the wheel
+  // node: an event built on the caller's stack and copied in would be
+  // written with narrow stores and read back with wide loads, a pattern
+  // store-to-load forwarding cannot serve.
+  template <typename... Rest>
+  MAGESIM_HOT_PATH void emplace(SimTime t, const Rest&... rest) {
+    assert(t >= now_);
+    if (static_cast<uint64_t>(t - now_) >= kSlots) {
+      far_.push(Make(t, rest...));
       return;
     }
     uint32_t n = free_;
     if (n != kNil) {
       free_ = nodes_[n].next;
-      nodes_[n].v = x;
+      nodes_[n].v = Make(t, rest...);
     } else {
       n = static_cast<uint32_t>(nodes_.size());
       // magesim-lint: allow(hotpath-alloc): reserve()d at engine start; the
       // pool only grows past the wheel's high-water mark, then recycles.
-      nodes_.push_back(Node{x, kNil});
+      nodes_.push_back(Node{Make(t, rest...), kNil});
     }
     nodes_[n].next = kNil;
-    const uint64_t s = SlotOf(x.t);
+    const uint64_t s = SlotOf(t);
     Slot& slot = slots_[s];
     if (slot.head == kNil) {
       slot.head = n;
@@ -123,6 +130,13 @@ class TimerWheel {
     uint32_t head = kNil;
     uint32_t tail = kNil;
   };
+
+  // push(x) passes x itself; emplace(t, fields...) builds T{t, fields...}.
+  static const T& Make(SimTime, const T& x) { return x; }
+  template <typename... Rest>
+  static T Make(SimTime t, const Rest&... rest) {
+    return T{t, rest...};
+  }
 
   static uint64_t SlotOf(SimTime t) { return static_cast<uint64_t>(t) & (kSlots - 1); }
 
