@@ -133,6 +133,41 @@ TEST(SimEventTest, SetReleasesAllWaiters) {
   EXPECT_TRUE(ev.is_set());
 }
 
+TEST(SimEventTest, PulseWakesWaitersInArrivalOrderEveryRound) {
+  // The first waiter is held apart from the rest; wake order must still be
+  // arrival order, and the event must be reusable after each release.
+  Engine e;
+  SimEvent ev;
+  std::vector<int> woke;
+  auto waiter = [](SimEvent& ev, std::vector<int>& woke, int id) -> Task<> {
+    co_await ev.Wait();
+    woke.push_back(id);
+  };
+  auto pulser = [](SimEvent& ev) -> Task<> {
+    co_await Delay{10};
+    EXPECT_EQ(ev.num_waiters(), 3u);
+    ev.Pulse();
+    EXPECT_EQ(ev.num_waiters(), 0u);
+    co_await Delay{10};
+    EXPECT_EQ(ev.num_waiters(), 1u);
+    ev.Pulse();
+    co_await Delay{10};
+    EXPECT_EQ(ev.num_waiters(), 2u);
+    ev.Pulse();
+  };
+  for (int i = 0; i < 3; ++i) e.Spawn(waiter(ev, woke, i));
+  e.Spawn(pulser(ev));
+  e.Spawn([](SimEvent& ev, std::vector<int>& woke, auto waiter) -> Task<> {
+    co_await Delay{15};
+    Engine::current().Spawn(waiter(ev, woke, 3));
+    co_await Delay{10};
+    Engine::current().Spawn(waiter(ev, woke, 4));
+    Engine::current().Spawn(waiter(ev, woke, 5));
+  }(ev, woke, waiter));
+  e.Run();
+  EXPECT_EQ(woke, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
 TEST(SimEventTest, SetEventDoesNotBlock) {
   Engine e;
   SimEvent ev;
